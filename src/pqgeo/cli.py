@@ -25,8 +25,7 @@ import scipy
 
 from . import __version__
 from .forms import GeometryError, QuadraticSpace, standard_space
-from .model import HPoint, HalfspaceDomain, hilbert_distance, \
-    omega_membership, pair_class
+from .model import HPoint, HalfspaceDomain, hilbert_distance, pair_class
 from .graphs import constant_graph, equatorial_graph, folded_boundary_graph, \
     isotropic_boundary_graph, lipschitz_check, maximal_graph
 from .crowns import crown_orbit_graph, detect_crowns
@@ -259,7 +258,7 @@ def _run_omega_test(args, tol):
     constraints = _as_matrix(_load_json(args.domain), args.domain)
     domain = HalfspaceDomain(space, constraints)
     x = _as_vector(_load_json(args.x), args.x)
-    status, worst = omega_membership(domain, x)
+    status, worst = domain.membership(x)
     _write_json(os.path.join(args.out, "omega-test.json"),
                 {"status": status, "worst_constraint": worst})
     return ["omega-test.json"], "omega membership: %s (constraint %d)" \
@@ -333,8 +332,7 @@ def _run_crown_scan(args, tol):
     if rows.shape[1] != space.dim:
         raise InputError("%s: rows have %d columns, form has dimension %d"
                          % (args.input, rows.shape[1], space.dim))
-    scan = detect_crowns(space, rows, args.j, max_results=args.max_results,
-                         max_subsets=args.max_subsets)
+    scan = detect_crowns(space, rows, args.j, max_results=args.max_results)
     crowns = [{"indices": c.indices, "lifts": c.lifts, "pairing": c.pairing}
               for c in scan]
     _write_json(os.path.join(args.out, "crowns.json"),
@@ -622,7 +620,6 @@ def build_parser():
     sp.add_argument("--q", type=int)
     sp.add_argument("--j", type=int, default=2)
     sp.add_argument("--max-results", type=int, default=None)
-    sp.add_argument("--max-subsets", type=int, default=2000000)
 
     sp = sub.add_parser("coxeter-scan", parents=[common],
                         help="signature scan of a deformed Cartan matrix")

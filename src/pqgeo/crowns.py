@@ -8,8 +8,6 @@ along flow orbits have closed forms that the rest of the toolkit checks
 against cross-ratio computations.
 """
 
-import itertools
-
 import numpy as np
 
 from .forms import GeometryError, QuadraticSpace, standard_space
@@ -83,54 +81,53 @@ class CrownScan:
         return len(self.crowns)
 
 
-def detect_crowns(space, points, j, max_results=None, max_subsets=2000000):
-    """Find all j-crowns among boundary points by subset enumeration.
+def detect_crowns(space, points, j, max_results=None):
+    """Find all j-crowns among boundary points.
 
-    Subsets are visited in lexicographic index order. The scan reports
-    ``complete=False`` when the subset budget or the result cap cuts it
-    short.
+    The candidates are the induced matchings of j edges in the
+    transversality graph: a partial matching grows only by an edge whose
+    endpoints are neither chosen nor adjacent to a chosen vertex. Each
+    candidate then needs the census (j, j|0). Crowns come out in
+    lexicographic order of their index sets. The scan reports
+    ``complete=False`` only when ``max_results`` stops it with
+    candidates left unchecked.
     """
+    if j < 1:
+        raise GeometryError("a crown needs j >= 1 pairs")
     lifts = _lift_rows(points)
-    n = lifts.shape[0]
     pair, adj = _transversality(space, lifts)
+    # Under a non-diagonal Gram the pairing is symmetric only up to
+    # rounding: an edge must hold both ways, and adjacency either way
+    # keeps a point out of a matching.
+    ends = np.argwhere(np.triu(adj & adj.T))
+    closed = adj | adj.T | np.eye(len(adj), dtype=bool)
+    matchings = []
+
+    def grow(chosen, candidates):
+        if len(chosen) == j:
+            # Rows of ends[chosen] ascend in their smaller endpoint, so the
+            # transpose lists the plus block, then each partner in turn.
+            order = ends[chosen].T.ravel().tolist()
+            matchings.append((sorted(order), order))
+            return
+        for k, edge in enumerate(candidates):
+            near = closed[ends[edge, 0]] | closed[ends[edge, 1]]
+            rest = candidates[k + 1:]
+            grow(chosen + [edge],
+                 rest[~(near[ends[rest, 0]] | near[ends[rest, 1]])])
+
+    grow([], np.arange(len(ends)))
+    matchings.sort()
     found = []
-    complete = True
-    visited = 0
-    for subset in itertools.combinations(range(n), 2 * j):
-        visited += 1
-        if visited > max_subsets:
-            complete = False
-            break
-        sub = adj[np.ix_(subset, subset)]
-        degrees = sub.sum(axis=1)
-        if not np.all(degrees == 1):
-            continue
+    for checked, (subset, order) in enumerate(matchings, 1):
         census = QuadraticSpace(
             pair[np.ix_(subset, subset)], tol=space.tol).signature
         if census.as_tuple() != (j, j, 0):
             continue
-        plus = []
-        minus = []
-        seen = set()
-        for local, index in enumerate(subset):
-            if index in seen:
-                continue
-            partner = subset[int(np.argmax(sub[local]))]
-            plus.append(index)
-            minus.append(partner)
-            seen.add(index)
-            seen.add(partner)
-        order = plus + minus
         found.append(Crown(space, lifts[order], indices=order))
         if max_results is not None and len(found) >= max_results:
-            complete = complete and visited == _n_subsets(n, 2 * j)
-            break
-    return CrownScan(found, complete)
-
-
-def _n_subsets(n, k):
-    from math import comb
-    return comb(n, k)
+            return CrownScan(found, checked == len(matchings))
+    return CrownScan(found, True)
 
 
 def is_boundary_crown(crown, candidates):

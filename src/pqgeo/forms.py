@@ -6,6 +6,8 @@ conventions live in one place: comparisons are relative to the spectral
 radius of the Gram matrix.
 """
 
+import math
+
 import numpy as np
 
 DEFAULT_TOLERANCE = 1e-9
@@ -206,3 +208,21 @@ def standard_space(p, q, tol=None):
     """Diagonal form diag(1,...,1,-1,...,-1) with p plus and q minus signs."""
     signs = [1.0] * p + [-1.0] * q
     return QuadraticSpace(np.diag(signs), tol=tol)
+
+
+def boost(d, i, j, rapidity):
+    """Boost of R^d in the (i, j) plane, for form signs that differ there."""
+    M = np.eye(d)
+    c, s = math.cosh(rapidity), math.sinh(rapidity)
+    M[i, i] = M[j, j] = c
+    M[i, j] = M[j, i] = s
+    return M
+
+
+def rotation(d, i, j, angle):
+    """Rotation of R^d in the (i, j) plane, for equal form signs there."""
+    M = np.eye(d)
+    c, s = math.cos(angle), math.sin(angle)
+    M[i, i] = M[j, j] = c
+    M[i, j], M[j, i] = -s, s
+    return M

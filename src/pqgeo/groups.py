@@ -17,9 +17,9 @@ import json
 import math
 
 import numpy as np
-from scipy.linalg import expm
 
-from .forms import GeometryError, QuadraticSpace, standard_space
+from .forms import GeometryError, QuadraticSpace, boost, rotation, \
+    standard_space
 
 INFINITE = math.inf
 
@@ -397,13 +397,20 @@ def _validate_bend_direction(datum, edge, X):
             % res)
 
 
+def _expm(M):
+    # scipy.linalg costs most of the package's import time and only
+    # bending needs it, so it is imported on first use.
+    from scipy.linalg import expm
+    return expm(M)
+
+
 def _chain_tail(datum, chain):
     factors = []
     for k in reversed(chain):
         bend = datum.edge_bends.get(k)
         if bend is not None:
             X_k, s_k = bend
-            factors.append(expm(s_k * X_k))
+            factors.append(_expm(s_k * X_k))
     return factors
 
 
@@ -422,7 +429,7 @@ def bend_amalgam(datum, factor_index, X, s):
     _validate_bend_direction(datum, chain[-1], X)
     pieces = []
     if s != 0.0:
-        pieces.append(expm(s * X))
+        pieces.append(_expm(s * X))
     pieces.extend(_chain_tail(datum, chain[:-1]))
     new_factors = [[g.copy() for g in gens] for gens in datum.factors]
     if not pieces:
@@ -450,28 +457,8 @@ def bend_hnn(datum, letter_index, X, s):
     for piece in reversed(left):
         out = piece @ out
     if s != 0.0:
-        out = out @ expm(s * X)
+        out = out @ _expm(s * X)
     return out
-
-
-def _boost(d, i, j, rapidity):
-    M = np.eye(d)
-    c, s = math.cosh(rapidity), math.sinh(rapidity)
-    M[i, i] = c
-    M[j, j] = c
-    M[i, j] = s
-    M[j, i] = s
-    return M
-
-
-def _rotation(d, i, j, angle):
-    M = np.eye(d)
-    c, s = math.cos(angle), math.sin(angle)
-    M[i, i] = c
-    M[j, j] = c
-    M[i, j] = -s
-    M[j, i] = s
-    return M
 
 
 def toy_bend_datum():
@@ -483,10 +470,10 @@ def toy_bend_datum():
     (0,3) plane, hence commutes with the edge generator.
     """
     space = standard_space(2, 2)
-    h = _boost(4, 1, 2, 0.8)
-    a = _boost(4, 0, 2, 0.7)
-    b = _rotation(4, 0, 1, 0.6)
-    gamma = _boost(4, 0, 3, 0.4)
+    h = boost(4, 1, 2, 0.8)
+    a = boost(4, 0, 2, 0.7)
+    b = rotation(4, 0, 1, 0.6)
+    gamma = boost(4, 0, 3, 0.4)
     return BendDatum(
         space,
         factors=[[a, h], [b, h]],

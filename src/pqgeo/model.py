@@ -357,11 +357,6 @@ class HalfspaceDomain:
         return BOUNDARY, worst
 
 
-def omega_membership(domain, v):
-    """Membership test for the invisible domain of a constraint set."""
-    return domain.membership(v)
-
-
 def hilbert_distance(domain, y, z):
     """Hilbert distance between interior points of a half-space domain.
 

@@ -18,7 +18,7 @@ from pqgeo.anosov import gap_series, negativity_test, sample_limit_set
 from pqgeo.crowns import (AdaptedBasis, crown_orbit_graph, detect_crowns,
                           maximality_test, orbit_hilbert_distance,
                           orbit_point, quadrilateral_demo)
-from pqgeo.forms import standard_space
+from pqgeo.forms import boost, rotation, standard_space
 from pqgeo.graphs import (constant_graph, lipschitz_check, maximal_graph,
                           timelike_distance)
 from pqgeo.groups import (ReflectionRep, bend_amalgam, bend_hnn, canonical_X,
@@ -28,22 +28,6 @@ from pqgeo.groups import (ReflectionRep, bend_amalgam, bend_hnn, canonical_X,
                           word_ball)
 from pqgeo.model import (HPoint, TimelikeFrame, hilbert_distance, pair_class,
                          pair_class_conformal)
-
-
-def _rotation(d, i, j, angle):
-    M = np.eye(d)
-    c, s = math.cos(angle), math.sin(angle)
-    M[i, i] = M[j, j] = c
-    M[i, j], M[j, i] = -s, s
-    return M
-
-
-def _boost(d, i, j, rapidity):
-    M = np.eye(d)
-    c, s = math.cosh(rapidity), math.sinh(rapidity)
-    M[i, i] = M[j, j] = c
-    M[i, j] = M[j, i] = s
-    return M
 
 
 DIAGRAMS = [pentagon_with_arms(10, 11),
@@ -229,11 +213,11 @@ def test_criterion_09_crown_detection_matches_bruteforce_oracle():
         for _ in range(5):
             kind = rng.integers(3)
             if kind == 0:
-                g = g @ _rotation(4, 0, 1, rng.uniform(0, 6.28))
+                g = g @ rotation(4, 0, 1, rng.uniform(0, 6.28))
             elif kind == 1:
-                g = g @ _rotation(4, 2, 3, rng.uniform(0, 6.28))
+                g = g @ rotation(4, 2, 3, rng.uniform(0, 6.28))
             else:
-                g = g @ _boost(4, int(rng.integers(2)),
+                g = g @ boost(4, int(rng.integers(2)),
                                int(2 + rng.integers(2)),
                                rng.uniform(-1, 1))
         return g
@@ -342,8 +326,8 @@ def test_criterion_11_timelike_distance_closed_form():
 def test_criterion_12_spectral_diagnostics_sanity():
     """Gap growth, isotropy, and negativity for two generated groups."""
     space = standard_space(2, 2)
-    g1 = _boost(4, 0, 2, 1.5)
-    T = _boost(4, 1, 2, 2.5)
+    g1 = boost(4, 0, 2, 1.5)
+    T = boost(4, 1, 2, 2.5)
     g2 = T @ g1 @ np.linalg.inv(T)
     ball6 = word_ball([g1, g2], 6)
     series = gap_series(ball6, 2)
@@ -363,8 +347,8 @@ def test_criterion_12_spectral_diagnostics_sanity():
     assert 1e-8 < report.margin < 1e-7
 
     split_space = standard_space(2, 3)
-    a = _boost(5, 0, 2, 2.0) @ _rotation(5, 3, 4, 1.0)
-    b = _boost(5, 1, 3, 0.3)
+    a = boost(5, 0, 2, 2.0) @ rotation(5, 3, 4, 1.0)
+    b = boost(5, 1, 3, 0.3)
     margins = {}
     for L in (3, 6):
         ball = word_ball([a, b], L)

@@ -8,23 +8,15 @@ import pytest
 from pqgeo.anosov import (gap_series, jordan_projection, limit_cone_sample,
                           negativity_test, proximality_class,
                           sample_limit_set)
-from pqgeo.forms import GeometryError, standard_space
+from pqgeo.forms import GeometryError, boost, standard_space
 from pqgeo.groups import word_ball
 from pqgeo.model import BoundaryPoint
 
 
-def _boost(d, i, j, rapidity):
-    M = np.eye(d)
-    c, s = math.cosh(rapidity), math.sinh(rapidity)
-    M[i, i] = M[j, j] = c
-    M[i, j] = M[j, i] = s
-    return M
-
-
 @pytest.fixture
 def schottky_ball():
-    g1 = _boost(4, 0, 2, 1.5)
-    T = _boost(4, 1, 2, 2.5)
+    g1 = boost(4, 0, 2, 1.5)
+    T = boost(4, 1, 2, 2.5)
     g2 = T @ g1 @ np.linalg.inv(T)
     return word_ball([g1, g2], 3)
 

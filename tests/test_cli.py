@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from pqgeo.cli import main
+from pqgeo.forms import boost
 
 
 def _write(path, payload):
@@ -22,17 +23,9 @@ def _write(path, payload):
     return str(path)
 
 
-def _boost(d, i, j, rapidity):
-    M = np.eye(d)
-    c, s = math.cosh(rapidity), math.sinh(rapidity)
-    M[i, i] = M[j, j] = c
-    M[i, j] = M[j, i] = s
-    return M
-
-
 def _schottky_gens():
-    g1 = _boost(4, 0, 2, 1.5)
-    T = _boost(4, 1, 2, 2.5)
+    g1 = boost(4, 0, 2, 1.5)
+    T = boost(4, 1, 2, 2.5)
     g2 = T @ g1 @ np.linalg.inv(T)
     return [g1.tolist(), g2.tolist()]
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from pqgeo.forms import GeometryError, standard_space
+from pqgeo.forms import GeometryError, boost, standard_space
 from pqgeo.groups import (INFINITE, BendDatum, CoxeterDiagram, HnnLetter,
                           ReflectionRep, bend_amalgam, bend_hnn, canonical_X,
                           cartan_matrix, det_roots, gt_polygon,
@@ -298,15 +298,8 @@ def test_polygon_deform_direction_checks():
 
 
 def test_word_ball_free_growth():
-    def boost(i, j, rapidity):
-        M = np.eye(4)
-        c, s = math.cosh(rapidity), math.sinh(rapidity)
-        M[i, i] = M[j, j] = c
-        M[i, j] = M[j, i] = s
-        return M
-
-    g1 = boost(0, 2, 1.5)
-    T = boost(1, 2, 2.5)
+    g1 = boost(4, 0, 2, 1.5)
+    T = boost(4, 1, 2, 2.5)
     g2 = T @ g1 @ np.linalg.inv(T)
     ball = word_ball([g1, g2], 3)
     assert len(ball) == 53

@@ -9,8 +9,7 @@ from pqgeo.forms import GeometryError, QuadraticSpace, standard_space
 from pqgeo.model import (BoundaryPoint, HPoint, HalfspaceDomain,
                          SignConsistencyError, TimelikeFrame,
                          conformal_split, conformal_unsplit, hilbert_distance,
-                         lift_nonpositive, omega_membership, pair_class,
-                         pair_class_conformal)
+                         lift_nonpositive, pair_class, pair_class_conformal)
 
 
 @pytest.fixture
@@ -165,15 +164,11 @@ def test_halfspace_membership():
     assert worst == 0
     status, _ = domain.membership(np.array([0.0, -0.5, 1.0, 0.0]))
     assert status == "boundary"
-
-
-def test_omega_membership_matches_domain():
-    space = standard_space(2, 2)
     lam = np.array([[1.0, 0.0, 1.0, 0.0], [-1.0, 0.0, 1.0, 0.0]])
     domain = HalfspaceDomain(space, lam)
-    status, _ = omega_membership(domain, np.array([0.0, 0.0, 1.0, 0.0]))
+    status, _ = domain.membership(np.array([0.0, 0.0, 1.0, 0.0]))
     assert status == "interior"
-    status, _ = omega_membership(domain, np.array([2.0, 0.0, 1.0, 0.0]))
+    status, _ = domain.membership(np.array([2.0, 0.0, 1.0, 0.0]))
     assert status == "outside"
 
 
