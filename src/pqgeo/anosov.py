@@ -11,7 +11,8 @@ import math
 import numpy as np
 
 from .forms import GeometryError
-from .model import BoundaryPoint, SignConsistencyError, lift_nonpositive
+from .model import (BoundaryPoint, SignConsistencyError, lift_nonpositive,
+                    lift_rows)
 
 CLUSTER_REL = 1e-7
 AMBIGUITY_REL = 1e-5
@@ -170,7 +171,7 @@ def sample_limit_set(space, ball, gap_threshold):
                 % (ball.word_label(entry.word), residual))
     scale = max(space.spectral_radius, 1.0)
     points = []
-    kept = []
+    kept = np.empty((len(ball), space.dim))
     for entry in ball:
         if not entry.word:
             continue
@@ -189,15 +190,11 @@ def sample_limit_set(space, ball, gap_threshold):
         if abs(space.eval(vec)) > 1e-8 * scale:
             raise GeometryError(
                 "limit point fails isotropy: |b| = %g" % abs(space.eval(vec)))
-        duplicate = False
-        for old in kept:
-            if min(np.linalg.norm(vec - old),
-                   np.linalg.norm(vec + old)) <= POINT_MERGE_TOL:
-                duplicate = True
-                break
-        if duplicate:
+        old = kept[:len(points)]
+        if np.any((np.linalg.norm(vec - old, axis=1) <= POINT_MERGE_TOL)
+                  | (np.linalg.norm(vec + old, axis=1) <= POINT_MERGE_TOL)):
             continue
-        kept.append(vec)
+        kept[len(points)] = vec
         points.append(BoundaryPoint(space, vec))
     return points
 
@@ -215,7 +212,7 @@ class NegativityReport:
                                                         self.margin)
 
 
-def negativity_test(space, points, tol=None):
+def negativity_test(space, points):
     """Check whether boundary points admit pairwise-negative lifts.
 
     Runs the coherent sign assignment; "negative" needs every pairing of
@@ -224,31 +221,25 @@ def negativity_test(space, points, tol=None):
     witness is the odd cycle found). The margin is the smallest pairing
     magnitude.
     """
-    lifts = []
-    for pt in points:
-        vec = pt.lift if isinstance(pt, BoundaryPoint) else np.asarray(
-            pt, dtype=float)
-        lifts.append(vec / np.linalg.norm(vec))
-    if len(lifts) < 2:
+    rows = lift_rows(points)
+    if len(rows) < 2:
         raise GeometryError("negativity test needs at least two points")
-    lifts = np.array(lifts)
+    # Row by row: a vectorized norm may round differently and move lifts.
+    lifts = np.array([vec / np.linalg.norm(vec) for vec in rows])
     try:
         coherent, _ = lift_nonpositive(space, lifts)
     except SignConsistencyError as err:
         return NegativityReport("inconsistent", 0.0, err.witness)
     pairing = coherent @ space.gram @ coherent.T
+    np.abs(pairing, out=pairing)
     n = pairing.shape[0]
-    margin = math.inf
-    witness = None
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(pairing[i, j]) < margin:
-                margin = abs(pairing[i, j])
-                witness = (i, j)
-    band = (tol if tol is not None else space.tol) * max(
-        space.spectral_radius, 1.0)
+    # Only pairs i < j; argmin keeps the first minimum in row-major order.
+    pairing[np.tri(n, dtype=bool)] = math.inf
+    witness = divmod(int(np.argmin(pairing)), n)
+    margin = float(pairing[witness])
+    band = space.tol * max(space.spectral_radius, 1.0)
     status = "negative" if margin > band else "non-positive-only"
-    return NegativityReport(status, float(margin), witness)
+    return NegativityReport(status, margin, witness)
 
 
 def limit_cone_sample(ball, r):

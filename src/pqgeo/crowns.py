@@ -11,25 +11,10 @@ against cross-ratio computations.
 import numpy as np
 
 from .forms import GeometryError, QuadraticSpace, standard_space
-from .model import BoundaryPoint, HalfspaceDomain, TimelikeFrame
+from .model import HalfspaceDomain, TimelikeFrame, lift_rows
 from .graphs import LipschitzGraph
 
 ADAPTED_RESIDUAL = 1e-10
-
-
-def _lift_rows(points):
-    if len(points) and isinstance(points[0], BoundaryPoint):
-        return np.array([pt.lift for pt in points], dtype=float)
-    return np.atleast_2d(np.asarray(points, dtype=float))
-
-
-def _transversality(space, lifts):
-    pair = lifts @ space.gram @ lifts.T
-    norms = np.linalg.norm(lifts, axis=1)
-    thresh = space.tol * max(space.spectral_radius, 1.0) * np.outer(norms, norms)
-    adj = np.abs(pair) > thresh
-    np.fill_diagonal(adj, False)
-    return pair, adj
 
 
 class Crown:
@@ -44,7 +29,7 @@ class Crown:
         if lifts.shape[0] % 2:
             raise GeometryError("a crown needs an even number of points")
         j = lifts.shape[0] // 2
-        pair, adj = _transversality(space, lifts)
+        pair, adj = space.pairing(lifts)
         for i in range(2 * j):
             partner = (i + j) % (2 * j)
             expect = np.zeros(2 * j, dtype=bool)
@@ -94,13 +79,10 @@ def detect_crowns(space, points, j, max_results=None):
     """
     if j < 1:
         raise GeometryError("a crown needs j >= 1 pairs")
-    lifts = _lift_rows(points)
-    pair, adj = _transversality(space, lifts)
-    # Under a non-diagonal Gram the pairing is symmetric only up to
-    # rounding: an edge must hold both ways, and adjacency either way
-    # keeps a point out of a matching.
-    ends = np.argwhere(np.triu(adj & adj.T))
-    closed = adj | adj.T | np.eye(len(adj), dtype=bool)
+    lifts = lift_rows(points)
+    pair, adj = space.pairing(lifts)
+    ends = np.argwhere(np.triu(adj))
+    closed = adj | np.eye(len(adj), dtype=bool)
     matchings = []
 
     def grow(chosen, candidates):
@@ -135,37 +117,27 @@ def is_boundary_crown(crown, candidates):
 
     Returns None when no candidate is orthogonal to every crown point.
     """
-    lifts = _lift_rows(candidates)
-    space = crown.space
-    vals = lifts @ space.gram @ crown.lifts.T
-    norms = np.linalg.norm(lifts, axis=1)
-    crown_norms = np.linalg.norm(crown.lifts, axis=1)
-    thresh = space.tol * max(space.spectral_radius, 1.0) * np.outer(
-        norms, crown_norms)
-    hits = np.all(np.abs(vals) <= thresh, axis=1)
-    for i, hit in enumerate(hits):
-        if hit:
-            return i
-    return None
+    _, nonzero = crown.space.pairing(lift_rows(candidates), crown.lifts)
+    hits = np.flatnonzero(~nonzero.any(axis=1))
+    return int(hits[0]) if hits.size else None
 
 
 class AdaptedBasis:
     """Basis (e'_1..e'_2j) with b(e'_i, e'_{j+i}) = -1 and zeros elsewhere."""
 
-    def __init__(self, space, vectors, check=True):
+    def __init__(self, space, vectors):
         vectors = np.atleast_2d(np.asarray(vectors, dtype=float))
         if vectors.shape[0] % 2:
             raise GeometryError("adapted basis needs 2j vectors")
         j = vectors.shape[0] // 2
-        if check:
-            target = np.zeros((2 * j, 2 * j))
-            for i in range(j):
-                target[i, j + i] = target[j + i, i] = -1.0
-            residual = np.max(np.abs(vectors @ space.gram @ vectors.T - target))
-            if residual > ADAPTED_RESIDUAL:
-                raise GeometryError(
-                    "pairing residual %g exceeds %g" % (residual,
-                                                        ADAPTED_RESIDUAL))
+        target = np.zeros((2 * j, 2 * j))
+        for i in range(j):
+            target[i, j + i] = target[j + i, i] = -1.0
+        residual = np.max(np.abs(vectors @ space.gram @ vectors.T - target))
+        if residual > ADAPTED_RESIDUAL:
+            raise GeometryError(
+                "pairing residual %g exceeds %g" % (residual,
+                                                    ADAPTED_RESIDUAL))
         self.space = space
         self.vectors = vectors
         self.j = j
@@ -272,13 +244,13 @@ def orbit_hilbert_distance(basis, coeffs, a):
     return float(np.max(np.abs(a)))
 
 
-def maximality_test(point, rtol=1e-9):
+def maximality_test(point):
     """True when all pair weights agree (the orbit is the balanced one)."""
     w = point.weights
     scale = np.max(np.abs(w))
     if scale == 0.0:
         return True
-    return bool(np.max(np.abs(w - w[0])) <= rtol * scale)
+    return bool(np.max(np.abs(w - w[0])) <= 1e-9 * scale)
 
 
 class QuadrilateralReport:

@@ -11,6 +11,7 @@ import math
 import numpy as np
 
 DEFAULT_TOLERANCE = 1e-9
+PAIRING_BLOCK = 256
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
@@ -142,6 +143,37 @@ class QuadraticSpace:
         if out.ndim == 0:
             return float(out)
         return out
+
+    def pairing(self, rows, others=None):
+        """Pairing matrix of two row sets and its out-of-band mask.
+
+        Returns ``(pair, nonzero)`` with ``pair = rows @ gram @ others.T``
+        and ``nonzero`` true where ``|pair|`` exceeds the band
+        ``tol * max(spectral_radius, 1) * |row| * |other|``, the one band
+        for every sign decision on boundary lifts. Without ``others`` the
+        rows pair with themselves; the product is then symmetric only up
+        to rounding, so an entry counts as nonzero when either order is
+        out of band, and the diagonal is false.
+        """
+        rows = np.asarray(rows, dtype=float)
+        same = others is None
+        others = rows if same else np.asarray(others, dtype=float)
+        pair = rows @ self.gram @ others.T
+        row_norms = np.linalg.norm(rows, axis=1)
+        other_norms = np.linalg.norm(others, axis=1)
+        scale = self.tol * max(self.spectral_radius, 1.0)
+        nonzero = np.empty(pair.shape, dtype=bool)
+        # Row blocks keep the band small: a full n x n band would double
+        # the peak memory of the limit-set negativity test.
+        for lo in range(0, len(pair), PAIRING_BLOCK):
+            band = np.outer(row_norms[lo:lo + PAIRING_BLOCK], other_norms)
+            band *= scale
+            block = pair[lo:lo + PAIRING_BLOCK]
+            nonzero[lo:lo + PAIRING_BLOCK] = (block > band) | (block < -band)
+        if same:
+            nonzero |= nonzero.T
+            np.fill_diagonal(nonzero, False)
+        return pair, nonzero
 
     def classify_vector(self, v):
         """Sign class of a nonzero vector: positive, negative, or isotropic.

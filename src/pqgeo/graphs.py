@@ -10,8 +10,8 @@ are all distance-ratio statistics over sampled pairs.
 import numpy as np
 
 from .forms import GeometryError, QuadraticSpace
-from .model import (BOUNDARY_ATOL, BoundaryPoint, ConformalCoords, HPoint,
-                    TimelikeFrame, conformal_split, conformal_unsplit,
+from .model import (BOUNDARY_ATOL, ConformalCoords, HPoint, TimelikeFrame,
+                    conformal_split, conformal_unsplit, lift_rows,
                     sphere_distance)
 
 HEMISPHERE = "hemisphere"
@@ -219,7 +219,7 @@ def _domain_distance(graph, u1, u2):
     return sphere_distance(u1[1:], u2[1:])
 
 
-def lipschitz_check(graph, pairs=2000, rng=0, with_kernel=True):
+def lipschitz_check(graph, pairs=2000, rng=0):
     """Estimate the Lipschitz ratio of a graph over sampled pairs.
 
     Returns a :class:`GraphReport`. ``max_ratio`` strictly below 1 over
@@ -255,7 +255,7 @@ def lipschitz_check(graph, pairs=2000, rng=0, with_kernel=True):
         if ratio > 1.0 + 1e-9:
             violations += 1
     kernel_dim = None
-    if with_kernel and graph.domain == SPHERE:
+    if graph.domain == SPHERE:
         kernel_dim, _ = kernel_sphere(graph, rng=gen)
     return GraphReport(max_ratio, violations, used, kernel_dim)
 
@@ -393,10 +393,7 @@ def timelike_distance(graph, boundary_lifts, bases=64, directions=64, rng=0):
     """
     if graph.func is None:
         raise GeometryError("timelike distance needs a differentiable graph")
-    if len(boundary_lifts) and isinstance(boundary_lifts[0], BoundaryPoint):
-        lam = np.array([b.lift for b in boundary_lifts], dtype=float)
-    else:
-        lam = np.atleast_2d(np.asarray(boundary_lifts, dtype=float))
+    lam = lift_rows(boundary_lifts)
     gen = _rng(rng)
     space = graph.frame.space
     p, q = graph.p, graph.q

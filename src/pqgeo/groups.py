@@ -287,7 +287,7 @@ def orthogonal_lie_basis(p, q):
     return basis
 
 
-def lie_closure_dim(seeds, tol=1e-9):
+def lie_closure_dim(seeds):
     """Dimension of the Lie algebra generated by the seed matrices.
 
     Alternates bracket generation with SVD re-orthonormalization of the
@@ -305,7 +305,7 @@ def lie_closure_dim(seeds, tol=1e-9):
         if stack.shape[0] == 0:
             return stack
         _, svals, vt = np.linalg.svd(stack, full_matrices=False)
-        rank = int(np.sum(svals > tol * max(svals[0], 1.0)))
+        rank = int(np.sum(svals > 1e-9 * max(svals[0], 1.0)))
         return vt[:rank]
 
     rows = orthonormal_rows(np.array([s.ravel() for s in seeds]))

@@ -236,7 +236,7 @@ def pair_class(x, y):
     return LIGHTLIKE
 
 
-def pair_class_conformal(frame, x, y, band=None):
+def pair_class_conformal(frame, x, y):
     """Classify a same-sheet pair by comparing the two conformal distances.
 
     The pair is spacelike exactly when the hemisphere distance between the
@@ -250,8 +250,7 @@ def pair_class_conformal(frame, x, y, band=None):
         raise GeometryError(
             "lifts pair positively (b = %g); flip one lift onto the "
             "other sheet first" % value)
-    if band is None:
-        band = max(frame.space.tol, 1e-12)
+    band = max(frame.space.tol, 1e-12)
     c1 = conformal_split(frame, x)
     c2 = conformal_split(frame, y)
     d_dom = sphere_distance(c1.u, c2.u)
@@ -264,6 +263,13 @@ def pair_class_conformal(frame, x, y, band=None):
     if diff < -band:
         return TIMELIKE
     return LIGHTLIKE
+
+
+def lift_rows(points):
+    """Lift vectors as rows, from BoundaryPoints or an array-like of rows."""
+    if len(points) and isinstance(points[0], BoundaryPoint):
+        return np.array([pt.lift for pt in points], dtype=float)
+    return np.atleast_2d(np.asarray(points, dtype=float))
 
 
 def lift_nonpositive(space, points):
@@ -286,45 +292,43 @@ def lift_nonpositive(space, points):
         When no assignment exists. The witness attribute holds a cycle
         of indices whose pairing signs cannot all be made non-positive.
     """
-    if len(points) and isinstance(points[0], BoundaryPoint):
-        lifts = np.array([pt.lift for pt in points], dtype=float)
-    else:
-        lifts = np.array(points, dtype=float)
+    lifts = lift_rows(points)
+    pair, nonzero = space.pairing(lifts)
     k = lifts.shape[0]
-    pair = lifts @ space.gram @ lifts.T
-    norms = np.linalg.norm(lifts, axis=1)
-    scale = space.tol * max(space.spectral_radius, 1.0) * np.outer(norms, norms)
     signs = np.zeros(k, dtype=int)
-    parent = [-1] * k
+    parent = np.full(k, -1)
+
+    def chain(v):
+        out = [v]
+        while parent[out[-1]] >= 0:
+            out.append(int(parent[out[-1]]))
+        return out
+
     for root in range(k):
         if signs[root]:
             continue
         signs[root] = 1
-        queue = [root]
-        while queue:
-            i = queue.pop()
-            for j in range(k):
-                if j == i or abs(pair[i, j]) <= scale[i, j]:
-                    continue
-                needed = -signs[i] * int(np.sign(pair[i, j]))
-                if signs[j] == 0:
-                    signs[j] = needed
-                    parent[j] = i
-                    queue.append(j)
-                elif signs[j] != needed:
-                    chain_i = [i]
-                    while parent[chain_i[-1]] >= 0:
-                        chain_i.append(parent[chain_i[-1]])
-                    chain_j = [j]
-                    while parent[chain_j[-1]] >= 0:
-                        chain_j.append(parent[chain_j[-1]])
-                    common = set(chain_i) & set(chain_j)
-                    cut_i = next(n for n, v in enumerate(chain_i) if v in common)
-                    cut_j = next(n for n, v in enumerate(chain_j) if v in common)
-                    cycle = chain_i[:cut_i + 1] + chain_j[:cut_j][::-1]
-                    raise SignConsistencyError(
-                        "no sign assignment can make all pairings "
-                        "non-positive", cycle)
+        stack = [root]
+        while stack:
+            i = stack.pop()
+            near = np.flatnonzero(nonzero[i])
+            needed = -signs[i] * np.sign(pair[i, near]).astype(int)
+            have = signs[near]
+            clash = np.flatnonzero((have != 0) & (have != needed))
+            if clash.size:
+                chain_i = chain(i)
+                chain_j = chain(int(near[clash[0]]))
+                common = set(chain_i) & set(chain_j)
+                cut_i = next(n for n, v in enumerate(chain_i) if v in common)
+                cut_j = next(n for n, v in enumerate(chain_j) if v in common)
+                cycle = chain_i[:cut_i + 1] + chain_j[:cut_j][::-1]
+                raise SignConsistencyError(
+                    "no sign assignment can make all pairings "
+                    "non-positive", cycle)
+            fresh = near[have == 0]
+            signs[fresh] = needed[have == 0]
+            parent[fresh] = i
+            stack.extend(fresh.tolist())
     return lifts * signs[:, None], signs
 
 

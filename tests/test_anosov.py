@@ -146,7 +146,8 @@ def test_negativity_negative_case():
     report = negativity_test(space, np.array(lifts))
     assert report.status == "negative"
     assert report.margin == pytest.approx(0.5, abs=1e-12)
-    assert report.witness is not None
+    # (0, 1) and (1, 2) pair equally; the first in row-major order wins.
+    assert report.witness == (0, 1)
 
 
 def test_negativity_non_positive_only():
@@ -170,7 +171,8 @@ def test_negativity_inconsistent():
         pts.append(np.concatenate((s, m)) / math.sqrt(2.0))
     report = negativity_test(space, np.array(pts))
     assert report.status == "inconsistent"
-    assert report.witness is not None
+    assert report.witness == [2, 0, 1]
+    assert all(type(v) is int for v in report.witness)
 
 
 def test_negativity_needs_two_points():

@@ -303,3 +303,7 @@ def test_is_boundary_crown():
     witness[2] = witness[5] = 1.0 / math.sqrt(2.0)
     assert is_boundary_crown(crown, np.array([decoy, witness])) == 1
     assert is_boundary_crown(crown, np.array([decoy])) is None
+    other = witness.copy()
+    other[5] = -other[5]
+    first = is_boundary_crown(crown, np.array([decoy, other, witness]))
+    assert first == 1 and type(first) is int

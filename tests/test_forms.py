@@ -118,3 +118,76 @@ def test_eval_dimension_mismatch():
     space = standard_space(1, 1)
     with pytest.raises(GeometryError):
         space.eval([1.0, 2.0, 3.0])
+
+
+def _band_rule(space, rows, others):
+    """The elementwise sign band that QuadraticSpace.pairing replaced."""
+    pair = rows @ space.gram @ others.T
+    thresh = space.tol * max(space.spectral_radius, 1.0) * np.outer(
+        np.linalg.norm(rows, axis=1), np.linalg.norm(others, axis=1))
+    return pair, np.abs(pair) > thresh
+
+
+def _near_band_rows(rng, count, dim):
+    """Rows in {-1, 0, 1}, a third nudged by 1e-9: pairings at and near 0."""
+    rows = rng.integers(-1, 2, size=(count, dim)).astype(float)
+    rows[::3] += 1e-9 * rng.normal(size=rows[::3].shape)
+    return rows
+
+
+def test_pairing_matches_band_rule_on_diagonal_grams():
+    rng = np.random.default_rng(0)
+    for diag in ([1.0, 1.0, -1.0, -1.0], [3.0, 0.5, -2.0, -0.25],
+                 [0.1, -0.2, 0.3, -0.05]):
+        space = QuadraticSpace(np.diag(diag))
+        # More rows than one band block holds.
+        rows = _near_band_rows(rng, 300, 4)
+        pair, nonzero = space.pairing(rows)
+        want_pair, want = _band_rule(space, rows, rows)
+        np.fill_diagonal(want, False)
+        assert np.array_equal(pair, want_pair)
+        assert np.array_equal(nonzero, want)
+        off = nonzero[~np.eye(300, dtype=bool)]
+        assert off.any() and not off.all()
+
+
+def test_pairing_mask_symmetric_under_nondiagonal_gram():
+    """Rounding makes rows @ gram @ rows.T asymmetric; the mask is not."""
+    rng = np.random.default_rng(1)
+    basis = rng.normal(size=(4, 4))
+    gram = basis.T @ np.diag([1.0, 1.0, -1.0, -1.0]) @ basis
+    rows = rng.normal(size=(30, 4))
+    base = QuadraticSpace(gram)
+    pair = rows @ base.gram @ rows.T
+    norms = np.linalg.norm(rows, axis=1)
+    scale = max(base.spectral_radius, 1.0) * np.outer(norms, norms)
+    straddled = 0
+    for i, j in np.argwhere(np.triu(pair != pair.T))[:40]:
+        # A band at the smaller of the two entries of the pair.
+        tol = min(abs(pair[i, j]), abs(pair[j, i])) / scale[i, j]
+        space = QuadraticSpace(gram, tol=tol)
+        _, elementwise = _band_rule(space, rows, rows)
+        straddled += elementwise[i, j] != elementwise[j, i]
+        _, nonzero = space.pairing(rows)
+        assert np.array_equal(nonzero, nonzero.T)
+        assert not nonzero.diagonal().any()
+        assert nonzero[i, j] == (elementwise[i, j] or elementwise[j, i])
+    assert straddled > 0
+
+
+def test_pairing_with_others_matches_band_rule():
+    rng = np.random.default_rng(2)
+    signs = np.diag([1.0, 1.0, -1.0, -1.0])
+    for basis in (np.eye(4), rng.normal(size=(4, 4))):
+        # Moved by inv(basis), rows pair under basis.T @ signs @ basis as
+        # they pair under signs: zero pairings stay within the band.
+        space = QuadraticSpace(basis.T @ signs @ basis)
+        move = np.linalg.inv(basis).T
+        rows = _near_band_rows(rng, 12, 4) @ move
+        others = _near_band_rows(rng, 5, 4) @ move
+        pair, nonzero = space.pairing(rows, others)
+        want_pair, want = _band_rule(space, rows, others)
+        assert pair.shape == nonzero.shape == (12, 5)
+        assert np.array_equal(pair, want_pair)
+        assert np.array_equal(nonzero, want)
+        assert nonzero.any() and not nonzero.all()

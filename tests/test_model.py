@@ -150,7 +150,8 @@ def test_lift_nonpositive_inconsistent_witness():
     assert np.all(pair[~np.eye(3, dtype=bool)] > 0.1)
     with pytest.raises(SignConsistencyError) as err:
         lift_nonpositive(space, np.array(pts))
-    assert err.value.witness is not None
+    assert err.value.witness == [2, 0, 1]
+    assert all(type(v) is int for v in err.value.witness)
 
 
 def test_halfspace_membership():
