@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .forms import GeometryError
+from .forms import GeometryError, NearIndex
 from .model import (BoundaryPoint, SignConsistencyError, lift_nonpositive,
                     lift_rows)
 
@@ -32,11 +32,24 @@ def jordan_projection(g, r=None):
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise GeometryError("need a square matrix")
     moduli = np.sort(np.abs(np.linalg.eigvals(g)))[::-1]
+    return _log_moduli(moduli, _rank(len(moduli), r))
+
+
+def _rank(d, r):
     if r is None:
-        r = len(moduli)
-    if not 1 <= r <= len(moduli):
+        return d
+    if not 1 <= r <= d:
         raise GeometryError("rank r out of range")
-    if not np.all(np.isfinite(moduli)) or moduli[r - 1] <= 0.0:
+    return r
+
+
+def _log_moduli(moduli, r):
+    """Logs of the top r of one descending row of eigenvalue moduli.
+
+    The row is a reversed view, as in a word ball's spectral table: a
+    contiguous row can take a vectorized np.log that rounds differently.
+    """
+    if not np.isfinite(moduli).all() or moduli[r - 1] <= 0.0:
         raise GeometryError("matrix is singular to working precision")
     return np.log(moduli[:r])
 
@@ -123,13 +136,15 @@ def gap_series(ball, r):
 
     A word whose cyclic reduction is shorter is a conjugate of an element
     counted on an earlier sphere and is skipped; rotations of the same
-    cyclic word are merged. The identity is excluded.
+    cyclic word are merged. The identity is excluded. Projections are
+    read from the ball's spectral table.
     """
     if r < 2:
         raise GeometryError("gap statistics need r >= 2")
+    r = _rank(ball.moduli.shape[1], r)
     per_length = {length: [] for length in range(1, ball.L + 1)}
     seen = set()
-    for entry in ball:
+    for entry, moduli in zip(ball, ball.moduli):
         length = len(entry.word)
         if length == 0:
             continue
@@ -140,7 +155,7 @@ def gap_series(ball, r):
         if key in seen:
             continue
         seen.add(key)
-        lam = jordan_projection(entry.matrix, r)
+        lam = _log_moduli(moduli, r)
         per_length[length].append(float(lam[0] - lam[1]))
     lengths = sorted(per_length)
     mins, medians, counts = [], [], []
@@ -159,26 +174,44 @@ def sample_limit_set(space, ball, gap_threshold):
     threshold emit a point, which makes the top eigenvalue simple and
     real; the resulting eigenvector is isotropic because the element
     preserves the form. Projectively duplicate points are merged.
+
+    The gaps come from the ball's spectral table, the form precheck is one
+    stacked residual, and one stacked ``np.linalg.eig`` serves every
+    element that passes the gap; duplicates are found through a
+    :class:`~pqgeo.forms.NearIndex`.
     """
     if gap_threshold <= 0.0:
         raise GeometryError("gap threshold must be positive")
-    for entry in ball:
-        g = entry.matrix
-        residual = space.isometry_residual(g)
-        if residual > FORM_PRECHECK * max(1.0, np.linalg.norm(g) ** 2):
-            raise GeometryError(
-                "ball element %s does not preserve the form (residual %g)"
-                % (ball.word_label(entry.word), residual))
-    scale = max(space.spectral_radius, 1.0)
-    points = []
-    kept = np.empty((len(ball), space.dim))
-    for entry in ball:
+    stack = ball.stack
+    residual = np.linalg.norm(
+        stack.transpose(0, 2, 1) @ space.gram @ stack - space.gram,
+        axis=(1, 2))
+    bound = FORM_PRECHECK * np.maximum(
+        1.0, np.linalg.norm(stack, axis=(1, 2)) ** 2)
+    bad = np.flatnonzero(residual > bound)
+    if bad.size:
+        entry = ball.entries[bad[0]]
+        raise GeometryError(
+            "ball element %s does not preserve the form (residual %g)"
+            % (ball.word_label(entry.word), residual[bad[0]]))
+    rank = _rank(ball.moduli.shape[1], 2)
+    emitting = []
+    for i, (entry, moduli) in enumerate(zip(ball, ball.moduli)):
         if not entry.word:
             continue
-        lam = jordan_projection(entry.matrix, 2)
-        if lam[0] - lam[1] < gap_threshold:
-            continue
-        eigenvalues, vectors = np.linalg.eig(entry.matrix)
+        lam = _log_moduli(moduli, rank)
+        if lam[0] - lam[1] >= gap_threshold:
+            emitting.append(i)
+    scale = max(space.spectral_radius, 1.0)
+    points = []
+    kept = NearIndex(space.dim, POINT_MERGE_TOL)
+    all_values, all_vectors = np.linalg.eig(stack[emitting])
+    for eigenvalues, vectors in zip(all_values, all_vectors):
+        # The stack is complex when any element has a complex spectrum;
+        # an element with a real spectrum divides by its pivot in real
+        # arithmetic, as its own eig call would.
+        if not np.any(eigenvalues.imag):
+            eigenvalues, vectors = eigenvalues.real, vectors.real
         idx = int(np.argmax(np.abs(eigenvalues)))
         vec = vectors[:, idx]
         pivot = vec[int(np.argmax(np.abs(vec)))]
@@ -190,11 +223,10 @@ def sample_limit_set(space, ball, gap_threshold):
         if abs(space.eval(vec)) > 1e-8 * scale:
             raise GeometryError(
                 "limit point fails isotropy: |b| = %g" % abs(space.eval(vec)))
-        old = kept[:len(points)]
-        if np.any((np.linalg.norm(vec - old, axis=1) <= POINT_MERGE_TOL)
-                  | (np.linalg.norm(vec + old, axis=1) <= POINT_MERGE_TOL)):
+        if ((kept.distances(vec) <= POINT_MERGE_TOL).any()
+                or (kept.distances(-vec) <= POINT_MERGE_TOL).any()):
             continue
-        kept[len(points)] = vec
+        kept.add(vec)
         points.append(BoundaryPoint(space, vec))
     return points
 
@@ -227,10 +259,10 @@ def negativity_test(space, points):
     # Row by row: a vectorized norm may round differently and move lifts.
     lifts = np.array([vec / np.linalg.norm(vec) for vec in rows])
     try:
-        coherent, _ = lift_nonpositive(space, lifts)
+        _, _, pairing = lift_nonpositive(space, lifts)
     except SignConsistencyError as err:
         return NegativityReport("inconsistent", 0.0, err.witness)
-    pairing = coherent @ space.gram @ coherent.T
+    # Sign flips are exact, so |pairing| is also that of the signed lifts.
     np.abs(pairing, out=pairing)
     n = pairing.shape[0]
     # Only pairs i < j; argmin keeps the first minimum in row-major order.
@@ -247,13 +279,15 @@ def limit_cone_sample(ball, r):
 
     Elements whose projection vanishes (elliptics) are skipped; rays
     closer than 1e-6 radians are merged. Returns an array with one unit
-    ray per row.
+    ray per row. Projections are read from the ball's spectral table,
+    and r is checked against the dimension before any entry is read.
     """
+    r = _rank(ball.moduli.shape[1], r)
     rays = []
-    for entry in ball:
+    for entry, moduli in zip(ball, ball.moduli):
         if not entry.word:
             continue
-        lam = jordan_projection(entry.matrix, r)
+        lam = _log_moduli(moduli, r)
         norm = float(np.linalg.norm(lam))
         if norm <= 1e-12:
             continue
@@ -268,5 +302,5 @@ def limit_cone_sample(ball, r):
             continue
         rays.append(ray)
     if not rays:
-        return np.zeros((0, r if r is not None else 0))
+        return np.zeros((0, r))
     return np.array(rays)

@@ -7,11 +7,13 @@ radius of the Gram matrix.
 """
 
 import math
+import random
 
 import numpy as np
 
 DEFAULT_TOLERANCE = 1e-9
 PAIRING_BLOCK = 256
+NEAR_INDEX_SEED = 0
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
@@ -234,6 +236,51 @@ class QuadraticSpace:
     def __repr__(self):
         return "QuadraticSpace(dim={}, signature={!r})".format(
             self.dim, self.signature)
+
+
+class NearIndex:
+    """Rows bucketed by a fixed random unit projection, for radius queries.
+
+    A lookup returns the distances from the query to the rows in its
+    bucket and the two beside it; the caller applies its own predicate to
+    them. The projection is 1-Lipschitz, so every row within ``radius`` of
+    the query is among them, and the decisions are those of a scan over
+    all rows. Buckets are twice the radius wide so that rounding in the
+    projection cannot push such a row two buckets away.
+    """
+
+    def __init__(self, dim, radius):
+        # The standard library generator: numpy.random would add its
+        # import to every command that builds a word ball.
+        gauss = random.Random(NEAR_INDEX_SEED).gauss
+        direction = np.array([gauss(0.0, 1.0) for _ in range(dim)])
+        self.direction = direction / np.linalg.norm(direction)
+        self.width = 2.0 * radius
+        self.rows = np.empty((64, dim))
+        self.count = 0
+        self.buckets = {}
+
+    def _bucket(self, vec):
+        projection = float(vec @ self.direction)
+        if not math.isfinite(projection):
+            raise GeometryError("near-neighbour index needs finite rows")
+        return math.floor(projection / self.width)
+
+    def distances(self, vec):
+        """Distances from vec to the stored rows that may lie near it."""
+        b = self._bucket(vec)
+        near = [i for key in (b - 1, b, b + 1)
+                for i in self.buckets.get(key, ())]
+        if not near:
+            return np.empty(0)
+        return np.linalg.norm(self.rows[near] - vec, axis=1)
+
+    def add(self, vec):
+        if self.count == len(self.rows):
+            self.rows = np.concatenate((self.rows, np.empty_like(self.rows)))
+        self.rows[self.count] = vec
+        self.buckets.setdefault(self._bucket(vec), []).append(self.count)
+        self.count += 1
 
 
 def standard_space(p, q, tol=None):

@@ -18,8 +18,8 @@ import math
 
 import numpy as np
 
-from .forms import GeometryError, QuadraticSpace, boost, rotation, \
-    standard_space
+from .forms import GeometryError, NearIndex, QuadraticSpace, boost, \
+    rotation, standard_space
 
 INFINITE = math.inf
 
@@ -649,6 +649,11 @@ class WordBall:
     index of its inverse (itself for involutions). Entries are in BFS
     order, identity first, and each carries the first (hence shortest)
     word that reached it.
+
+    The ball also keeps its spectral table: ``stack`` holds the entry
+    matrices as one (N, d, d) array and ``moduli[i]`` the eigenvalue
+    moduli of entry i in descending order, computed once for every
+    consumer of Jordan projections.
     """
 
     def __init__(self, generators, alphabet, labels, inverse_letter, L,
@@ -659,16 +664,17 @@ class WordBall:
         self.inverse_letter = inverse_letter
         self.L = int(L)
         self.entries = entries
+        self.stack = np.array([entry.matrix for entry in entries])
+        # Keep the reversed view: np.log on a contiguous row can take a
+        # vector path that rounds differently from jordan_projection.
+        self.moduli = np.sort(np.abs(np.linalg.eigvals(self.stack)),
+                              axis=1)[:, ::-1]
 
     def __len__(self):
         return len(self.entries)
 
     def __iter__(self):
         return iter(self.entries)
-
-    @property
-    def matrices(self):
-        return [entry.matrix for entry in self.entries]
 
     def sphere(self, length):
         return [entry for entry in self.entries if len(entry.word) == length]
@@ -684,8 +690,14 @@ def word_ball(generators, L):
 
     Words avoid immediate backtracking; a product already seen (Frobenius
     distance below 1e-8 after dividing by the largest-magnitude entry) is
-    dropped, so each entry keeps its shortest representative.
+    dropped, so each entry keeps its shortest representative. Candidates
+    are compared only with the kept elements of their
+    :class:`~pqgeo.forms.NearIndex` buckets, which gives the decisions of
+    a scan over all kept elements. The returned ball carries its spectral
+    table (see :class:`WordBall`).
     """
+    if L < 0:
+        raise GeometryError("word-ball radius L must be non-negative")
     gens = [np.asarray(g, dtype=float) for g in generators]
     if not gens:
         raise GeometryError("need at least one generator")
@@ -723,7 +735,8 @@ def word_ball(generators, L):
 
     identity = np.eye(d)
     entries = [WordEntry((), identity, _projective_normalize(identity))]
-    seen = np.array([entries[0].normalized.ravel()])
+    seen = NearIndex(d * d, DEDUP_FROBENIUS)
+    seen.add(entries[0].normalized.ravel())
     frontier = [entries[0]]
     for _ in range(L):
         next_frontier = []
@@ -734,13 +747,13 @@ def word_ball(generators, L):
                     continue
                 matrix = entry.matrix @ alphabet[letter]
                 normalized = _projective_normalize(matrix)
-                dists = np.linalg.norm(seen - normalized.ravel(), axis=1)
-                if np.min(dists) < DEDUP_FROBENIUS:
+                flat = normalized.ravel()
+                if (seen.distances(flat) < DEDUP_FROBENIUS).any():
                     continue
                 new_entry = WordEntry(entry.word + (letter,), matrix,
                                       normalized)
                 entries.append(new_entry)
-                seen = np.vstack((seen, normalized.ravel()))
+                seen.add(flat)
                 next_frontier.append(new_entry)
         frontier = next_frontier
         if not frontier:

@@ -283,8 +283,10 @@ def lift_nonpositive(space, points):
 
     Returns
     -------
-    (lifts, signs)
-        Signed lift rows and the chosen sign per input row.
+    (lifts, signs, pair)
+        Signed lift rows, the chosen sign per input row, and the pairing
+        matrix of the unsigned rows; ``|pair|`` is also the magnitude of
+        every pairing of the signed rows.
 
     Raises
     ------
@@ -329,7 +331,7 @@ def lift_nonpositive(space, points):
             signs[fresh] = needed[have == 0]
             parent[fresh] = i
             stack.extend(fresh.tolist())
-    return lifts * signs[:, None], signs
+    return lifts * signs[:, None], signs, pair
 
 
 class HalfspaceDomain:

@@ -8,17 +8,30 @@ import pytest
 from pqgeo.anosov import (gap_series, jordan_projection, limit_cone_sample,
                           negativity_test, proximality_class,
                           sample_limit_set)
-from pqgeo.forms import GeometryError, boost, standard_space
+from pqgeo.forms import GeometryError, boost, rotation, standard_space
 from pqgeo.groups import word_ball
 from pqgeo.model import BoundaryPoint
 
 
-@pytest.fixture
-def schottky_ball():
+def _schottky_gens():
     g1 = boost(4, 0, 2, 1.5)
     T = boost(4, 1, 2, 2.5)
-    g2 = T @ g1 @ np.linalg.inv(T)
-    return word_ball([g1, g2], 3)
+    return [g1, T @ g1 @ np.linalg.inv(T)]
+
+
+def _split_gens():
+    """Criterion 12's O(2,3) pair; the rotation factor gives complex spectra."""
+    return [boost(5, 0, 2, 2.0) @ rotation(5, 3, 4, 1.0),
+            boost(5, 1, 3, 0.3)]
+
+
+CRITERION_12 = [(standard_space(2, 2), _schottky_gens),
+                (standard_space(2, 3), _split_gens)]
+
+
+@pytest.fixture
+def schottky_ball():
+    return word_ball(_schottky_gens(), 3)
 
 
 def test_jordan_projection_diagonal():
@@ -105,6 +118,48 @@ def test_gap_series_counts(schottky_ball):
 def test_gap_series_needs_rank(schottky_ball):
     with pytest.raises(GeometryError):
         gap_series(schottky_ball, 1)
+    with pytest.raises(GeometryError):
+        gap_series(schottky_ball, 5)
+
+
+@pytest.mark.parametrize("space,gens", CRITERION_12)
+def test_spectral_table_matches_jordan_projection(space, gens):
+    ball = word_ball(gens(), 6)
+    assert ball.stack.shape == (1457, space.dim, space.dim)
+    for entry, matrix, moduli in zip(ball, ball.stack, ball.moduli):
+        assert np.array_equal(matrix, entry.matrix)
+        assert np.array_equal(np.log(moduli[:2]),
+                              jordan_projection(entry.matrix, 2))
+
+
+def _limit_set_by_element(space, ball, gap_threshold):
+    """Per-element eig and a scan over all kept points: the reference."""
+    kept = []
+    for entry in ball:
+        if not entry.word:
+            continue
+        lam = jordan_projection(entry.matrix, 2)
+        if lam[0] - lam[1] < gap_threshold:
+            continue
+        eigenvalues, vectors = np.linalg.eig(entry.matrix)
+        vec = vectors[:, int(np.argmax(np.abs(eigenvalues)))]
+        vec = (vec / vec[int(np.argmax(np.abs(vec)))]).real
+        vec = vec / np.linalg.norm(vec)
+        old = np.array(kept).reshape(-1, space.dim)
+        if np.any((np.linalg.norm(vec - old, axis=1) <= 1e-6)
+                  | (np.linalg.norm(vec + old, axis=1) <= 1e-6)):
+            continue
+        kept.append(vec)
+    return np.array([BoundaryPoint(space, vec).lift for vec in kept])
+
+
+@pytest.mark.parametrize("space,gens", CRITERION_12)
+def test_sample_limit_set_matches_per_element_eig(space, gens):
+    ball = word_ball(gens(), 6)
+    if space.dim == 5:
+        assert np.iscomplexobj(np.linalg.eigvals(ball.stack))
+    lifts = np.array([pt.lift for pt in sample_limit_set(space, ball, 1.0)])
+    assert np.array_equal(lifts, _limit_set_by_element(space, ball, 1.0))
 
 
 def test_sample_limit_set_points(schottky_ball):
@@ -185,6 +240,14 @@ def test_limit_cone_single_ray(schottky_ball):
     rays = limit_cone_sample(schottky_ball, 2)
     assert rays.shape == (1, 2)
     assert np.allclose(rays[0], [1.0, 0.0], atol=1e-9)
+
+
+def test_limit_cone_checks_rank_before_entries():
+    ball = word_ball(_schottky_gens(), 0)
+    assert limit_cone_sample(ball, 2).shape == (0, 2)
+    for r in (0, 5):
+        with pytest.raises(GeometryError):
+            limit_cone_sample(ball, r)
 
 
 def test_limit_cone_skips_elliptics():

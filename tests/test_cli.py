@@ -271,6 +271,16 @@ def test_anosov_diagnose_chart_validation(tmp_path):
     assert code == 2
 
 
+def test_invalid_radius_and_rank_are_exit_1(tmp_path):
+    gens = _write(tmp_path / "gens.json", _schottky_gens())
+    code = main(["anosov-diagnose", "--gens", gens, "--p", "2", "--q", "1",
+                 "--L", "-2", "--out", str(tmp_path / "a")])
+    assert code == 1
+    code = main(["limit-cone", "--gens", gens, "--p", "2", "--q", "1",
+                 "--L", "0", "--r", "0", "--out", str(tmp_path / "b")])
+    assert code == 1
+
+
 def test_limit_cone_artifact(tmp_path):
     gens = _write(tmp_path / "gens.json", _schottky_gens())
     out = str(tmp_path / "run")

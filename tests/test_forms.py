@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from pqgeo.forms import (GeometryError, QuadraticSpace, Signature,
+from pqgeo import forms
+from pqgeo.forms import (GeometryError, NearIndex, QuadraticSpace, Signature,
                          standard_space)
 
 
@@ -191,3 +192,55 @@ def test_pairing_with_others_matches_band_rule():
         assert np.array_equal(pair, want_pair)
         assert np.array_equal(nonzero, want)
         assert nonzero.any() and not nonzero.all()
+
+
+def _shell_rows(rng, centres, radius):
+    """Rows at radius * (1 +- 1e-12) from the given rows."""
+    step = rng.normal(size=centres.shape)
+    step /= np.linalg.norm(step, axis=1)[:, None]
+    factor = radius * (1.0 + 1e-12 * rng.choice([-1.0, 1.0], len(centres)))
+    return centres + factor[:, None] * step
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_near_index_matches_brute_force_scan(monkeypatch, seed):
+    """Same distances under < and <= as a scan, for +v and -v queries."""
+    monkeypatch.setattr(forms, "NEAR_INDEX_SEED", seed)
+    rng = np.random.default_rng(10 + seed)
+    radius = 0.05
+    base = rng.uniform(-1.0, 1.0, size=(150, 5))
+    rows = np.concatenate((base, base[:20],
+                           _shell_rows(rng, base[:60], radius)))
+    rows = rows[rng.permutation(len(rows))]
+    index = NearIndex(5, radius)
+    scans = []
+
+    def check(query, stored):
+        found = index.distances(query)
+        scan = np.linalg.norm(rows[:stored] - query, axis=1)
+        for within in (lambda d: d < radius, lambda d: d <= radius):
+            assert np.array_equal(np.sort(found[within(found)]),
+                                  np.sort(scan[within(scan)]))
+        scans.append(scan)
+
+    for stored, row in enumerate(rows):
+        check(row, stored)
+        index.add(row)
+    queries = np.concatenate((rows, _shell_rows(rng, rows, radius),
+                              rng.uniform(-1.0, 1.0, size=(50, 5))))
+    for query in queries:
+        check(query, len(rows))
+        check(-query, len(rows))
+    scans = np.concatenate(scans)
+    assert np.any(scans == 0.0)
+    on_shell = np.abs(scans / radius - 1.0) < 1e-11
+    assert np.any(on_shell & (scans < radius))
+    assert np.any(on_shell & (scans > radius))
+
+
+def test_near_index_rejects_non_finite_rows():
+    index = NearIndex(3, 1e-6)
+    with pytest.raises(GeometryError):
+        index.add(np.array([1.0, np.nan, 0.0]))
+    with pytest.raises(GeometryError):
+        index.distances(np.array([np.inf, 0.0, 0.0]))

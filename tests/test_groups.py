@@ -331,3 +331,9 @@ def test_word_ball_involution_letters():
 def test_word_ball_rejects_singular():
     with pytest.raises(GeometryError):
         word_ball([np.zeros((2, 2))], 2)
+
+
+def test_word_ball_rejects_negative_radius():
+    assert len(word_ball([boost(2, 0, 1, 1.0)], 0)) == 1
+    with pytest.raises(GeometryError):
+        word_ball([boost(2, 0, 1, 1.0)], -2)

@@ -125,7 +125,7 @@ def test_lift_nonpositive_fixes_signs():
     ]) / math.sqrt(2.0)
     flipped = base.copy()
     flipped[1] = -flipped[1]
-    lifts, signs = lift_nonpositive(space, flipped)
+    lifts, signs, _ = lift_nonpositive(space, flipped)
     pair = lifts @ space.gram @ lifts.T
     off = pair[~np.eye(3, dtype=bool)]
     assert np.max(off) <= 1e-12

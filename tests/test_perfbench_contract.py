@@ -9,7 +9,9 @@ run, so the install and uninstall round trip is checked here.
 import importlib.util
 import os
 
-from pqgeo import crowns, forms
+import numpy as np
+
+from pqgeo import anosov, crowns, forms, groups
 
 SPANS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "perfbench", "spans.py")
@@ -60,3 +62,25 @@ def test_tracer_records_crown_census():
     counts = tracer.counts[0]
     assert counts["crowns.found"] == 1
     assert counts["crowns.census_calls"] >= 1
+
+
+def test_tracer_counts_word_ball_and_limit_set():
+    """The ball counters read entry.word, ball.alphabet and ball.L."""
+    spans = _spans_module()
+    tracer = spans.Tracer()
+    tracer.install(spans.LIBRARY_WRAPS)
+    try:
+        tracer.start_pass(0)
+        g1 = forms.boost(4, 0, 2, 1.5)
+        T = forms.boost(4, 1, 2, 2.5)
+        ball = groups.word_ball([g1, T @ g1 @ np.linalg.inv(T)], 3)
+        anosov.sample_limit_set(forms.standard_space(2, 2), ball, 1.0)
+    finally:
+        tracer.uninstall()
+    names = {span[0] for span in tracer.spans}
+    assert {"groups.word_ball", "anosov.limit_set"} <= names
+    counts = tracer.counts[0]
+    assert counts["groups.ball_elements"] == 53
+    assert counts["groups.products_tried"] == 52
+    assert counts["groups.products_kept"] == 52
+    assert counts["anosov.limit_points"] == 44
