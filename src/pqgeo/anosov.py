@@ -281,9 +281,13 @@ def limit_cone_sample(ball, r):
     closer than 1e-6 radians are merged. Returns an array with one unit
     ray per row. Projections are read from the ball's spectral table,
     and r is checked against the dimension before any entry is read.
+
+    Kept rays sit in a :class:`~pqgeo.forms.NearIndex` of radius 1e-6:
+    two unit rays at angle t are 2 sin(t/2) <= t apart, so every ray the
+    angle test can merge with is among its candidates.
     """
     r = _rank(ball.moduli.shape[1], r)
-    rays = []
+    kept = NearIndex(r, RAY_ANGLE_TOL)
     for entry, moduli in zip(ball, ball.moduli):
         if not entry.word:
             continue
@@ -292,15 +296,8 @@ def limit_cone_sample(ball, r):
         if norm <= 1e-12:
             continue
         ray = lam / norm
-        duplicate = False
-        for old in rays:
-            angle = math.acos(float(np.clip(np.dot(ray, old), -1.0, 1.0)))
-            if angle <= RAY_ANGLE_TOL:
-                duplicate = True
-                break
-        if duplicate:
+        if any(math.acos(min(1.0, max(-1.0, float(np.dot(ray, old)))))
+               <= RAY_ANGLE_TOL for old in kept.candidates(ray)):
             continue
-        rays.append(ray)
-    if not rays:
-        return np.zeros((0, r))
-    return np.array(rays)
+        kept.add(ray)
+    return kept.rows[:kept.count].copy()

@@ -51,24 +51,20 @@ def _load_json(path):
                          % (path, err.lineno, err.colno, err.msg))
 
 
-def _as_matrix(data, origin):
-    try:
-        matrix = np.array(data, dtype=float)
-    except (TypeError, ValueError):
-        raise InputError("%s: expected a rectangular numeric array" % origin)
-    if matrix.ndim != 2:
-        raise InputError("%s: expected a matrix (list of rows)" % origin)
-    return matrix
+# What a JSON input must be, by array rank: (element type, shape).
+_EXPECTED = {1: ("a numeric vector", "a flat vector"),
+             2: ("a rectangular numeric array", "a matrix (list of rows)")}
 
 
-def _as_vector(data, origin):
+def _as_array(data, origin, ndim):
+    numeric, shape = _EXPECTED[ndim]
     try:
-        vec = np.array(data, dtype=float)
+        array = np.array(data, dtype=float)
     except (TypeError, ValueError):
-        raise InputError("%s: expected a numeric vector" % origin)
-    if vec.ndim != 1:
-        raise InputError("%s: expected a flat vector" % origin)
-    return vec
+        raise InputError("%s: expected %s" % (origin, numeric))
+    if array.ndim != ndim:
+        raise InputError("%s: expected %s" % (origin, shape))
+    return array
 
 
 def _read_csv_rows(path):
@@ -97,6 +93,10 @@ def _read_csv_rows(path):
     return np.array(rows)
 
 
+def _load_array(path, ndim):
+    return _as_array(_load_json(path), path, ndim)
+
+
 def _resolve_tol(args):
     if args.tol is not None:
         return args.tol
@@ -110,14 +110,13 @@ def _resolve_tol(args):
 
 
 def _space_from_args(args, tol):
-    if getattr(args, "gram", None):
-        gram = _as_matrix(_load_json(args.gram), args.gram)
+    if args.gram:
+        gram = _load_array(args.gram, 2)
         try:
             return QuadraticSpace(gram, tol=tol)
         except GeometryError as err:
             raise InputError("%s: %s" % (args.gram, err))
-    if getattr(args, "p", None) is not None and \
-            getattr(args, "q", None) is not None:
+    if args.p is not None and args.q is not None:
         return standard_space(args.p, args.q + 1, tol=tol)
     raise InputError("need either --gram or both --p and --q")
 
@@ -140,23 +139,16 @@ def _write_csv(path, header, rows):
             handle.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _clean(obj):
-    if isinstance(obj, dict):
-        return {k: _clean(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_clean(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _clean(obj.tolist())
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    return obj
+def _plain(obj):
+    """JSON form of numpy arrays and scalars: the lists and numbers held."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError("%s is not JSON serializable" % type(obj).__name__)
 
 
 def _write_json(path, obj):
     with open(path, "w") as handle:
-        json.dump(_clean(obj), handle, indent=2, sort_keys=True)
+        json.dump(obj, handle, indent=2, sort_keys=True, default=_plain)
         handle.write("\n")
 
 
@@ -226,43 +218,40 @@ def _svg_scatter(path, points, xlabel, ylabel, title):
         handle.write("\n".join(parts) + "\n")
 
 
-def _run_classify_pair(args, tol):
+def _run_classify_pair(args, tol, out):
     space = _space_from_args(args, tol)
-    x = _as_vector(_load_json(args.x), args.x)
-    y = _as_vector(_load_json(args.y), args.y)
+    x, y = _load_array(args.x, 1), _load_array(args.y, 1)
     px = HPoint(space, x, normalize=True)
     py = HPoint(space, y, normalize=True)
     kind = pair_class(px, py)
     value = float(space.eval(px.vec, py.vec))
-    _write_json(os.path.join(args.out, "classify-pair.json"),
+    _write_json(out("classify-pair.json"),
                 {"class": kind, "pairing": value,
                  "x": px.vec, "y": py.vec})
-    return ["classify-pair.json"], "pair class: %s (b = %.12g)" % (kind,
-                                                                   value)
+    return "pair class: %s (b = %.12g)" % (kind, value)
 
 
-def _run_hilbert_dist(args, tol):
+def _domain_from_args(args, tol):
     space = _space_from_args(args, tol)
-    constraints = _as_matrix(_load_json(args.domain), args.domain)
-    domain = HalfspaceDomain(space, constraints)
-    y = _as_vector(_load_json(args.y), args.y)
-    z = _as_vector(_load_json(args.z), args.z)
-    dist = hilbert_distance(domain, y, z)
-    _write_json(os.path.join(args.out, "hilbert-dist.json"),
-                {"distance": dist, "constraints": constraints.shape[0]})
-    return ["hilbert-dist.json"], "hilbert distance: %.16g" % dist
+    return HalfspaceDomain(space, _load_array(args.domain, 2))
 
 
-def _run_omega_test(args, tol):
-    space = _space_from_args(args, tol)
-    constraints = _as_matrix(_load_json(args.domain), args.domain)
-    domain = HalfspaceDomain(space, constraints)
-    x = _as_vector(_load_json(args.x), args.x)
-    status, worst = domain.membership(x)
-    _write_json(os.path.join(args.out, "omega-test.json"),
+def _run_hilbert_dist(args, tol, out):
+    domain = _domain_from_args(args, tol)
+    dist = hilbert_distance(domain, _load_array(args.y, 1),
+                            _load_array(args.z, 1))
+    _write_json(out("hilbert-dist.json"),
+                {"distance": dist,
+                 "constraints": domain.constraints.shape[0]})
+    return "hilbert distance: %.16g" % dist
+
+
+def _run_omega_test(args, tol, out):
+    domain = _domain_from_args(args, tol)
+    status, worst = domain.membership(_load_array(args.x, 1))
+    _write_json(out("omega-test.json"),
                 {"status": status, "worst_constraint": worst})
-    return ["omega-test.json"], "omega membership: %s (constraint %d)" \
-        % (status, worst)
+    return "omega membership: %s (constraint %d)" % (status, worst)
 
 
 def _parse_floats(text, origin):
@@ -300,15 +289,14 @@ def _graph_from_args(args):
     return builders[family](args.p, args.q)
 
 
-def _run_graph_check(args, tol):
+def _run_graph_check(args, tol, out):
     graph = _graph_from_args(args)
     report = lipschitz_check(graph, pairs=args.pairs, rng=args.seed)
     U = graph.sample_domain(args.samples, rng=args.seed)
     V = graph.evaluate(U)
     header = ["u%d" % i for i in range(U.shape[1])] + \
         ["v%d" % (i + 1) for i in range(V.shape[1])]
-    _write_csv(os.path.join(args.out, "graph-samples.csv"), header,
-               np.hstack((U, V)))
+    _write_csv(out("graph-samples.csv"), header, np.hstack((U, V)))
     payload = {
         "family": args.family,
         "max_ratio": report.max_ratio,
@@ -318,15 +306,15 @@ def _run_graph_check(args, tol):
         "pairs_used": report.pairs_used,
         "kernel_dim": report.kernel_dim,
     }
-    _write_json(os.path.join(args.out, "graph-report.json"), payload)
+    _write_json(out("graph-report.json"), payload)
     summary = "family %s: max ratio %.6f, strict=%s" % (
         args.family, report.max_ratio, report.strict)
     if report.kernel_dim is not None:
         summary += ", kernel dim %d" % report.kernel_dim
-    return ["graph-samples.csv", "graph-report.json"], summary
+    return summary
 
 
-def _run_crown_scan(args, tol):
+def _run_crown_scan(args, tol, out):
     space = _space_from_args(args, tol)
     rows = _read_csv_rows(args.input)
     if rows.shape[1] != space.dim:
@@ -335,14 +323,14 @@ def _run_crown_scan(args, tol):
     scan = detect_crowns(space, rows, args.j, max_results=args.max_results)
     crowns = [{"indices": c.indices, "lifts": c.lifts, "pairing": c.pairing}
               for c in scan]
-    _write_json(os.path.join(args.out, "crowns.json"),
+    _write_json(out("crowns.json"),
                 {"j": args.j, "count": len(scan), "complete": scan.complete,
                  "crowns": crowns})
-    return ["crowns.json"], "found %d %d-crowns (complete=%s)" % (
-        len(scan), args.j, scan.complete)
+    return "found %d %d-crowns (complete=%s)" % (len(scan), args.j,
+                                                 scan.complete)
 
 
-def _run_coxeter_scan(args, tol):
+def _run_coxeter_scan(args, tol, out):
     data = _load_json(args.diagram)
     try:
         diagram = CoxeterDiagram.from_dict(data)
@@ -354,24 +342,22 @@ def _run_coxeter_scan(args, tol):
     rows = signature_scan(diagram, grid)
     table = [(r.t, r.signature.pos, r.signature.neg, r.signature.null,
               r.det, r.relation_residual) for r in rows]
-    _write_csv(os.path.join(args.out, "coxeter-scan.csv"),
+    _write_csv(out("coxeter-scan.csv"),
                ["t", "pos", "neg", "null", "det", "max-relation-residual"],
                table)
-    outputs = ["coxeter-scan.csv"]
     summary = "%d grid rows" % len(rows)
     if len(diagram.infinite_pairs()) == 1:
         roots = det_roots(diagram)
-        _write_json(os.path.join(args.out, "det-roots.json"),
+        _write_json(out("det-roots.json"),
                     {"roots": roots.roots,
                      "coefficients": roots.coefficients,
                      "residuals": roots.residuals,
                      "both_positive": roots.both_positive})
-        outputs.append("det-roots.json")
         summary += "; det roots %.12g, %.12g" % roots.roots
-    return outputs, summary
+    return summary
 
 
-def _run_gt_polygon(args, tol):
+def _run_gt_polygon(args, tol, out):
     poly = gt_polygon(args.k, args.n, args.q)
     space = poly.space
     table = []
@@ -382,12 +368,11 @@ def _run_gt_polygon(args, tol):
         table.append([j] + list(v) + [space.eval(v), space.eval(v, nxt)])
     header = ["index"] + ["x%d" % i for i in range(2 + args.q)] + \
         ["norm", "edge_pairing"]
-    _write_csv(os.path.join(args.out, "gt-polygon.csv"), header, table)
-    _write_json(os.path.join(args.out, "gt-polygon.json"),
+    _write_csv(out("gt-polygon.csv"), header, table)
+    _write_json(out("gt-polygon.json"),
                 {"k": poly.k, "n": poly.n, "q": args.q, "alpha": poly.alpha,
                  "edge_pairing": poly.edge_pairing})
-    return ["gt-polygon.csv", "gt-polygon.json"], \
-        "2k = %d vertices, alpha = %.12g" % (count, poly.alpha)
+    return "2k = %d vertices, alpha = %.12g" % (count, poly.alpha)
 
 
 def _bend_datum_from_json(path, tol):
@@ -396,27 +381,26 @@ def _bend_datum_from_json(path, tol):
                   "direction"):
         if field not in data:
             raise InputError("%s: missing field '%s'" % (path, field))
-    gram = _as_matrix(data["gram"], path + ":gram")
+    gram = _as_array(data["gram"], path + ":gram", 2)
     space = QuadraticSpace(gram, tol=tol)
-    factors = [[_as_matrix(g, path + ":factors") for g in gens]
+    factors = [[_as_array(g, path + ":factors", 2) for g in gens]
                for gens in data["factors"]]
-    edge_groups = [[_as_matrix(g, path + ":edge_groups") for g in gens]
+    edge_groups = [[_as_array(g, path + ":edge_groups", 2) for g in gens]
                    for gens in data["edge_groups"]]
     letters = []
     for spec_ in data.get("stable_letters", []):
-        letters.append(HnnLetter(_as_matrix(spec_["matrix"],
-                                            path + ":stable_letters"),
-                                 spec_.get("edge", 0),
+        matrix = _as_array(spec_["matrix"], path + ":stable_letters", 2)
+        letters.append(HnnLetter(matrix, spec_.get("edge", 0),
                                  spec_.get("chain", ())))
     positions = [[tuple(pair) for pair in entry]
                  for entry in data.get("edge_positions", [])]
     datum = BendDatum(space, factors, edge_groups, data["factor_chains"],
                       edge_positions=positions, stable_letters=letters)
-    direction = _as_matrix(data["direction"], path + ":direction")
+    direction = _as_array(data["direction"], path + ":direction", 2)
     return datum, direction
 
 
-def _run_bend(args, tol):
+def _run_bend(args, tol, out):
     if args.toy:
         datum = toy_bend_datum()
         direction = canonical_X(2, 1, 1)
@@ -463,9 +447,8 @@ def _run_bend(args, tol):
         "residuals": {"form": form_residual, "edge": edge_residual,
                       "hnn": hnn_residual},
     }
-    _write_json(os.path.join(args.out, "bend.json"), payload)
-    return ["bend.json"], \
-        "bent factor %d at s=%g; residuals form %.3g, edge %.3g, hnn %.3g" \
+    _write_json(out("bend.json"), payload)
+    return "bent factor %d at s=%g; residuals form %.3g, edge %.3g, hnn %.3g" \
         % (args.factor, args.s, form_residual, edge_residual, hnn_residual)
 
 
@@ -474,7 +457,7 @@ def _generators_from_args(args, space):
     if not isinstance(data, list) or not data:
         raise InputError("%s: expected a non-empty list of matrices"
                          % args.gens)
-    gens = [_as_matrix(m, args.gens) for m in data]
+    gens = [_as_array(m, args.gens, 2) for m in data]
     for g in gens:
         if g.shape != (space.dim, space.dim):
             raise InputError("%s: generator shape %s does not match "
@@ -483,20 +466,24 @@ def _generators_from_args(args, space):
     return gens
 
 
-def _run_anosov_diagnose(args, tol):
+def _ball_and_rays(args, tol):
+    """The form, the word ball of radius --L, and its limit-cone rays."""
     space = _space_from_args(args, tol)
-    gens = _generators_from_args(args, space)
-    ball = word_ball(gens, args.L)
+    ball = word_ball(_generators_from_args(args, space), args.L)
+    return space, ball, limit_cone_sample(ball, args.r)
+
+
+def _run_anosov_diagnose(args, tol, out):
+    space, ball, rays = _ball_and_rays(args, tol)
     series = gap_series(ball, args.r)
-    _write_csv(os.path.join(args.out, "gaps.csv"),
+    _write_csv(out("gaps.csv"),
                ["length", "min", "median", "count"], series.rows())
     points = sample_limit_set(space, ball, args.gap_threshold)
     lifts = np.array([pt.lift for pt in points]) if points else \
         np.zeros((0, space.dim))
-    _write_csv(os.path.join(args.out, "limit-set.csv"),
+    _write_csv(out("limit-set.csv"),
                ["x%d" % i for i in range(space.dim)], lifts)
-    rays = limit_cone_sample(ball, args.r)
-    _write_csv(os.path.join(args.out, "cone-rays.csv"),
+    _write_csv(out("cone-rays.csv"),
                ["lambda%d" % (i + 1) for i in range(args.r)], rays)
     chart = args.chart.split(",")
     if len(chart) != 2:
@@ -508,7 +495,7 @@ def _run_anosov_diagnose(args, tol):
     if not (0 <= ci < space.dim and 0 <= cj < space.dim):
         raise InputError("--chart indices out of range for dimension %d"
                          % space.dim)
-    _svg_scatter(os.path.join(args.out, "limit-set.svg"),
+    _svg_scatter(out("limit-set.svg"),
                  [(row[ci], row[cj]) for row in lifts],
                  "x%d" % ci, "x%d" % cj, "sampled limit set")
     negativity = None
@@ -516,7 +503,7 @@ def _run_anosov_diagnose(args, tol):
         report = negativity_test(space, points)
         negativity = {"status": report.status, "margin": report.margin,
                       "witness": report.witness}
-    _write_json(os.path.join(args.out, "diagnose.json"),
+    _write_json(out("diagnose.json"),
                 {"ball_size": len(ball), "limit_points": len(points),
                  "cone_rays": int(rays.shape[0]), "negativity": negativity})
     summary = "ball %d, limit points %d, rays %d" % (len(ball), len(points),
@@ -524,19 +511,14 @@ def _run_anosov_diagnose(args, tol):
     if negativity:
         summary += ", negativity %s (margin %.6g)" % (
             negativity["status"], negativity["margin"])
-    return ["gaps.csv", "limit-set.csv", "cone-rays.csv", "limit-set.svg",
-            "diagnose.json"], summary
+    return summary
 
 
-def _run_limit_cone(args, tol):
-    space = _space_from_args(args, tol)
-    gens = _generators_from_args(args, space)
-    ball = word_ball(gens, args.L)
-    rays = limit_cone_sample(ball, args.r)
-    _write_csv(os.path.join(args.out, "cone-rays.csv"),
+def _run_limit_cone(args, tol, out):
+    _, ball, rays = _ball_and_rays(args, tol)
+    _write_csv(out("cone-rays.csv"),
                ["lambda%d" % (i + 1) for i in range(args.r)], rays)
-    return ["cone-rays.csv"], "%d cone rays from a ball of %d" % (
-        rays.shape[0], len(ball))
+    return "%d cone rays from a ball of %d" % (rays.shape[0], len(ball))
 
 
 HANDLERS = {
@@ -551,6 +533,25 @@ HANDLERS = {
     "anosov-diagnose": _run_anosov_diagnose,
     "limit-cone": _run_limit_cone,
 }
+
+
+def _space_flags(sp):
+    """--gram, or --p and --q, for the commands that take a form."""
+    sp.add_argument("--gram", help="JSON Gram matrix file")
+    sp.add_argument("--p", type=int, help="spacelike rank of the model")
+    sp.add_argument("--q", type=int,
+                    help="timelike rank of the model (form has q+1 minus "
+                         "signs)")
+
+
+def _group_flags(sp, radius):
+    """Generators, their form, and the word-ball radius and rank."""
+    sp.add_argument("--gens", required=True,
+                    help="JSON list of generator matrices")
+    _space_flags(sp)
+    sp.add_argument("--L", type=int, default=radius, help="word-ball radius")
+    sp.add_argument("--r", type=int, default=2,
+                    help="Jordan projection rank")
 
 
 def build_parser():
@@ -571,19 +572,13 @@ def build_parser():
 
     sp = sub.add_parser("classify-pair", parents=[common],
                         help="classify a pair of interior points")
-    sp.add_argument("--gram", help="JSON Gram matrix file")
-    sp.add_argument("--p", type=int, help="spacelike rank of the model")
-    sp.add_argument("--q", type=int,
-                    help="timelike rank of the model (form has q+1 minus "
-                         "signs)")
+    _space_flags(sp)
     sp.add_argument("--x", required=True, help="JSON vector file")
     sp.add_argument("--y", required=True, help="JSON vector file")
 
     sp = sub.add_parser("hilbert-dist", parents=[common],
                         help="Hilbert distance inside a half-space domain")
-    sp.add_argument("--gram", help="JSON Gram matrix file")
-    sp.add_argument("--p", type=int)
-    sp.add_argument("--q", type=int)
+    _space_flags(sp)
     sp.add_argument("--domain", required=True,
                     help="JSON list of constraint lifts")
     sp.add_argument("--y", required=True, help="JSON vector file")
@@ -591,9 +586,7 @@ def build_parser():
 
     sp = sub.add_parser("omega-test", parents=[common],
                         help="membership in the invisible domain")
-    sp.add_argument("--gram", help="JSON Gram matrix file")
-    sp.add_argument("--p", type=int)
-    sp.add_argument("--q", type=int)
+    _space_flags(sp)
     sp.add_argument("--domain", required=True,
                     help="JSON list of constraint lifts")
     sp.add_argument("--x", required=True, help="JSON vector file")
@@ -615,9 +608,7 @@ def build_parser():
                         help="detect crowns among boundary samples")
     sp.add_argument("--input", required=True,
                     help="CSV of boundary lifts, one per row")
-    sp.add_argument("--gram", help="JSON Gram matrix file")
-    sp.add_argument("--p", type=int)
-    sp.add_argument("--q", type=int)
+    _space_flags(sp)
     sp.add_argument("--j", type=int, default=2)
     sp.add_argument("--max-results", type=int, default=None)
 
@@ -647,14 +638,7 @@ def build_parser():
 
     sp = sub.add_parser("anosov-diagnose", parents=[common],
                         help="spectral diagnostics of a generated group")
-    sp.add_argument("--gens", required=True,
-                    help="JSON list of generator matrices")
-    sp.add_argument("--gram", help="JSON Gram matrix file")
-    sp.add_argument("--p", type=int)
-    sp.add_argument("--q", type=int)
-    sp.add_argument("--L", type=int, default=8, help="word-ball radius")
-    sp.add_argument("--r", type=int, default=2,
-                    help="Jordan projection rank")
+    _group_flags(sp, 8)
     sp.add_argument("--gap-threshold", type=float, default=1.0,
                     help="minimum top eigenvalue gap for limit points")
     sp.add_argument("--chart", default="0,1",
@@ -662,29 +646,21 @@ def build_parser():
 
     sp = sub.add_parser("limit-cone", parents=[common],
                         help="sample limit-cone rays of a generated group")
-    sp.add_argument("--gens", required=True,
-                    help="JSON list of generator matrices")
-    sp.add_argument("--gram", help="JSON Gram matrix file")
-    sp.add_argument("--p", type=int)
-    sp.add_argument("--q", type=int)
-    sp.add_argument("--L", type=int, default=6)
-    sp.add_argument("--r", type=int, default=2)
+    _group_flags(sp, 6)
 
     return parser
 
 
-def _write_manifest(args, outputs, wall_time):
-    config = {}
-    for key, value in sorted(vars(args).items()):
-        config[key] = value
+def _write_manifest(args, written, wall_time):
+    """manifest.json: the configuration and a hash of each written file."""
     listed = []
-    for name in outputs:
-        path = os.path.join(args.out, name)
-        blob = open(path, "rb").read()
+    for name in written:
+        with open(os.path.join(args.out, name), "rb") as handle:
+            blob = handle.read()
         listed.append({"path": name, "bytes": len(blob),
                        "sha256": hashlib.sha256(blob).hexdigest()})
     manifest = {
-        "config": config,
+        "config": vars(args),
         "versions": {
             "pqgeo": __version__,
             "numpy": np.__version__,
@@ -704,18 +680,22 @@ def main(argv=None):
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     start = time.perf_counter()
+    written = []
+
+    def out(name):
+        """Path of an artifact in --out; the manifest lists it in turn."""
+        written.append(name)
+        return os.path.join(args.out, name)
+
     try:
         tol = _resolve_tol(args)
         os.makedirs(args.out, exist_ok=True)
-        outputs, summary = HANDLERS[args.command](args, tol)
-        _write_manifest(args, outputs, time.perf_counter() - start)
-    except InputError as err:
-        print("error: %s" % err, file=sys.stderr)
-        return 2
+        summary = HANDLERS[args.command](args, tol, out)
+        _write_manifest(args, written, time.perf_counter() - start)
     except GeometryError as err:
         print("error: %s" % err, file=sys.stderr)
         return 1
-    except OSError as err:
+    except (InputError, OSError) as err:
         print("error: %s" % err, file=sys.stderr)
         return 2
     print(summary)

@@ -79,6 +79,8 @@ def detect_crowns(space, points, j, max_results=None):
     """
     if j < 1:
         raise GeometryError("a crown needs j >= 1 pairs")
+    if max_results is not None and max_results < 1:
+        raise GeometryError("max_results must be at least 1")
     lifts = lift_rows(points)
     pair, adj = space.pairing(lifts)
     ends = np.argwhere(np.triu(adj))
@@ -143,9 +145,9 @@ class AdaptedBasis:
         self.j = j
 
     @classmethod
-    def standard(cls, j, tol=None):
+    def standard(cls, j):
         """Adapted basis in diag(1,..,1,-1,..,-1) with j of each sign."""
-        space = standard_space(j, j, tol=tol)
+        space = standard_space(j, j)
         vectors = np.zeros((2 * j, 2 * j))
         for i in range(j):
             vectors[i, i] = 1.0 / np.sqrt(2.0)
@@ -328,4 +330,4 @@ def crown_orbit_graph(tau):
     def func(U):
         return np.sqrt(tau[None, :] ** 2 * U[:, :1] ** 2 + U[:, 1:] ** 2)
 
-    return LipschitzGraph(frame, func=func, label="crown-orbit")
+    return LipschitzGraph(frame, func=func)

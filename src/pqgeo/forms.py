@@ -241,12 +241,12 @@ class QuadraticSpace:
 class NearIndex:
     """Rows bucketed by a fixed random unit projection, for radius queries.
 
-    A lookup returns the distances from the query to the rows in its
-    bucket and the two beside it; the caller applies its own predicate to
-    them. The projection is 1-Lipschitz, so every row within ``radius`` of
-    the query is among them, and the decisions are those of a scan over
-    all rows. Buckets are twice the radius wide so that rounding in the
-    projection cannot push such a row two buckets away.
+    A lookup returns the rows in the query's bucket and the two beside
+    it, or their distances to the query; the caller applies its own
+    predicate to them. The projection is 1-Lipschitz, so every row within
+    ``radius`` of the query is among them, and the decisions are those of
+    a scan over all rows. Buckets are twice the radius wide so that
+    rounding in the projection cannot push such a row two buckets away.
     """
 
     def __init__(self, dim, radius):
@@ -266,11 +266,18 @@ class NearIndex:
             raise GeometryError("near-neighbour index needs finite rows")
         return math.floor(projection / self.width)
 
+    def _near(self, vec):
+        b = self._bucket(vec)
+        return [i for key in (b - 1, b, b + 1)
+                for i in self.buckets.get(key, ())]
+
+    def candidates(self, vec):
+        """The stored rows that may lie within the radius of vec."""
+        return [self.rows[i] for i in self._near(vec)]
+
     def distances(self, vec):
         """Distances from vec to the stored rows that may lie near it."""
-        b = self._bucket(vec)
-        near = [i for key in (b - 1, b, b + 1)
-                for i in self.buckets.get(key, ())]
+        near = self._near(vec)
         if not near:
             return np.empty(0)
         return np.linalg.norm(self.rows[near] - vec, axis=1)

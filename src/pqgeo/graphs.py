@@ -63,8 +63,7 @@ class LipschitzGraph:
     pair of such arrays for graphs known only through a sample table.
     """
 
-    def __init__(self, frame, func=None, samples=None, domain=HEMISPHERE,
-                 label=""):
+    def __init__(self, frame, func=None, samples=None, domain=HEMISPHERE):
         if (func is None) == (samples is None):
             raise GeometryError("provide either func or samples, not both")
         if domain not in (HEMISPHERE, SPHERE):
@@ -72,7 +71,6 @@ class LipschitzGraph:
         self.frame = frame
         self.func = func
         self.domain = domain
-        self.label = label
         if samples is not None:
             U, V = samples
             U = np.atleast_2d(np.asarray(U, dtype=float))
@@ -95,6 +93,8 @@ class LipschitzGraph:
 
     def sample_domain(self, count, rng=0):
         """Draw domain points; sphere domains come antipode-closed."""
+        if count < 1:
+            raise GeometryError("sample count must be at least 1")
         if self.samples is not None:
             return self.samples[0]
         gen = _rng(rng)
@@ -139,20 +139,16 @@ class LipschitzGraph:
         return out
 
 
-def constant_graph(p, q, image=None, frame=None):
+def constant_graph(p, q):
     """Graph of a constant map; its image set is totally geodesic."""
-    if frame is None:
-        frame = TimelikeFrame.standard(p, q)
-    if image is None:
-        image = np.zeros(q + 1)
-        image[-1] = 1.0
-    image = np.asarray(image, dtype=float)
-    image = image / np.linalg.norm(image)
+    frame = TimelikeFrame.standard(p, q)
+    image = np.zeros(q + 1)
+    image[-1] = 1.0
 
     def func(U):
         return np.tile(image, (U.shape[0], 1))
 
-    return LipschitzGraph(frame, func=func, label="constant")
+    return LipschitzGraph(frame, func=func)
 
 
 def maximal_graph(p, q):
@@ -166,7 +162,7 @@ def maximal_graph(p, q):
         V[:, :p] = np.sqrt(U[:, :1] ** 2 / p + U[:, 1:] ** 2)
         return V
 
-    return LipschitzGraph(frame, func=func, label="maximal")
+    return LipschitzGraph(frame, func=func)
 
 
 def equatorial_graph(p, q):
@@ -180,7 +176,7 @@ def equatorial_graph(p, q):
         V[:, :p + 1] = U
         return V
 
-    return LipschitzGraph(frame, func=func, label="equatorial")
+    return LipschitzGraph(frame, func=func)
 
 
 def isotropic_boundary_graph(p, q):
@@ -194,8 +190,7 @@ def isotropic_boundary_graph(p, q):
         V[:, :p] = U[:, 1:]
         return V
 
-    return LipschitzGraph(frame, func=func, domain=SPHERE,
-                          label="isotropic-boundary")
+    return LipschitzGraph(frame, func=func, domain=SPHERE)
 
 
 def folded_boundary_graph(p, q):
@@ -209,8 +204,7 @@ def folded_boundary_graph(p, q):
         V[:, :p] = np.abs(U[:, 1:])
         return V
 
-    return LipschitzGraph(frame, func=func, domain=SPHERE,
-                          label="folded-boundary")
+    return LipschitzGraph(frame, func=func, domain=SPHERE)
 
 
 def _domain_distance(graph, u1, u2):
@@ -226,6 +220,8 @@ def lipschitz_check(graph, pairs=2000, rng=0):
     many pairs is the sampled form of "spacelike"; a ratio above 1 means
     a timelike pair was found and the graph is not weakly spacelike.
     """
+    if pairs < 1:
+        raise GeometryError("pair count must be at least 1")
     gen = _rng(rng)
     if graph.samples is not None:
         U = graph.samples[0]
@@ -361,7 +357,7 @@ def split_spacetime(space, factors, count=256, rng=0):
         c = conformal_split(frame, HPoint(space, lifts[i]))
         U_out[i] = c.u
         V_out[i] = c.uprime
-    return LipschitzGraph(frame, samples=(U_out, V_out), label="split")
+    return LipschitzGraph(frame, samples=(U_out, V_out))
 
 
 def _direction_set(dim, count, gen):

@@ -13,7 +13,6 @@ Four families of machinery live here:
   spectral diagnostics module.
 """
 
-import json
 import math
 
 import numpy as np
@@ -80,11 +79,6 @@ class CoxeterDiagram:
         if "N" in data and int(data["N"]) != diagram.n:
             raise GeometryError("diagram N does not match matrix size")
         return diagram
-
-    @classmethod
-    def from_json_file(cls, path):
-        with open(path) as handle:
-            return cls.from_dict(json.load(handle))
 
     def to_dict(self):
         rows = [["inf" if v == INFINITE else int(v) for v in row]
@@ -543,15 +537,12 @@ class PolygonDeformation:
     span.
     """
 
-    def __init__(self, space, midpoint, radius, beta, base_dir, new_dir,
-                 condition):
+    def __init__(self, space, midpoint, radius, base_dir, new_dir):
         self.space = space
         self.midpoint = midpoint
         self.radius = float(radius)
-        self.beta = float(beta)
         self.base_dir = base_dir
         self.new_dir = new_dir
-        self.condition = float(condition)
 
     def at(self, s):
         if self.radius == 0.0:
@@ -577,7 +568,6 @@ def polygon_deform(space, v0, v2, alpha, e, base=None):
     eigs = np.linalg.eigvalsh(gram)
     if eigs[0] <= 1e-12 * max(abs(eigs[1]), 1.0):
         raise GeometryError("form is not positive definite on span(v0, v2)")
-    condition = eigs[1] / eigs[0]
     if abs(space.eval(e) + 1.0) > 1e-9:
         raise GeometryError("deformation direction must be a unit negative vector")
     if max(abs(space.eval(e, v0)), abs(space.eval(e, v2))) > 1e-9:
@@ -618,8 +608,7 @@ def polygon_deform(space, v0, v2, alpha, e, base=None):
     if norm2 <= 1e-18:
         raise GeometryError("deformation direction is parallel to the base member")
     new_dir = raw / math.sqrt(norm2)
-    return PolygonDeformation(space, midpoint, radius, beta, base_dir,
-                              new_dir, condition)
+    return PolygonDeformation(space, midpoint, radius, base_dir, new_dir)
 
 
 def _projective_normalize(matrix):

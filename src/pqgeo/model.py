@@ -126,8 +126,8 @@ class TimelikeFrame:
         return self.space.dim - self.p - 1
 
     @classmethod
-    def standard(cls, p, q, tol=None):
-        space = standard_space(p, q + 1, tol=tol)
+    def standard(cls, p, q):
+        space = standard_space(p, q + 1)
         return cls(space, np.eye(p + q + 1), p)
 
     def coords(self, vec):

@@ -257,3 +257,23 @@ def test_limit_cone_skips_elliptics():
     ball = word_ball([g], 2)
     rays = limit_cone_sample(ball, 2)
     assert rays.shape == (0, 2)
+
+
+@pytest.mark.parametrize("space,gens,count", [CRITERION_12[0] + (50,),
+                                              CRITERION_12[1] + (7,)])
+def test_limit_cone_matches_scan_over_all_rays(space, gens, count):
+    """The indexed merge keeps the rays a scan over every kept ray keeps."""
+    ball = word_ball(gens(), 7)
+    kept = []
+    for entry, moduli in zip(ball, ball.moduli):
+        lam = np.log(moduli[:2])
+        norm = float(np.linalg.norm(lam))
+        if not entry.word or norm <= 1e-12:
+            continue
+        ray = lam / norm
+        if all(math.acos(min(1.0, max(-1.0, float(ray @ old)))) > 1e-6
+               for old in kept):
+            kept.append(ray)
+    rays = limit_cone_sample(ball, 2)
+    assert len(rays) == count
+    assert np.array_equal(rays, np.array(kept))

@@ -9,6 +9,7 @@ import hashlib
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -30,6 +31,11 @@ def _schottky_gens():
     return [g1.tolist(), g2.tolist()]
 
 
+def _read_bytes(path):
+    with open(path, "rb") as handle:
+        return handle.read()
+
+
 def _read_manifest(out):
     with open(os.path.join(out, "manifest.json")) as handle:
         return json.load(handle)
@@ -40,9 +46,12 @@ def test_classify_pair_and_manifest(tmp_path):
     y = _write(tmp_path / "y.json",
                [math.sinh(1.0), 0.0, math.cosh(1.0), 0.0])
     out = str(tmp_path / "run")
-    code = main(["classify-pair", "--p", "2", "--q", "1",
-                 "--x", x, "--y", y, "--out", out])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        code = main(["classify-pair", "--p", "2", "--q", "1",
+                     "--x", x, "--y", y, "--out", out])
     assert code == 0
+    assert not [w for w in caught if w.category is ResourceWarning]
     with open(os.path.join(out, "classify-pair.json")) as handle:
         payload = json.load(handle)
     assert payload["class"] == "spacelike"
@@ -52,7 +61,7 @@ def test_classify_pair_and_manifest(tmp_path):
     assert manifest["wall_time_seconds"] >= 0.0
     listed = {entry["path"]: entry for entry in manifest["outputs"]}
     assert set(listed) == {"classify-pair.json"}
-    blob = open(os.path.join(out, "classify-pair.json"), "rb").read()
+    blob = _read_bytes(os.path.join(out, "classify-pair.json"))
     assert listed["classify-pair.json"]["bytes"] == len(blob)
     assert listed["classify-pair.json"]["sha256"] == \
         hashlib.sha256(blob).hexdigest()
@@ -279,6 +288,19 @@ def test_invalid_radius_and_rank_are_exit_1(tmp_path):
     code = main(["limit-cone", "--gens", gens, "--p", "2", "--q", "1",
                  "--L", "0", "--r", "0", "--out", str(tmp_path / "b")])
     assert code == 1
+    for flag in ("--pairs", "--samples"):
+        for count in ("0", "-3"):
+            code = main(["graph-check", "--family", "maximal", "--p", "2",
+                         "--q", "1", flag, count,
+                         "--out", str(tmp_path / "c")])
+            assert code == 1
+    csv_path = tmp_path / "points.csv"
+    csv_path.write_text("1,0,1,0\n0,1,0,1\n-1,0,1,0\n0,-1,0,1\n")
+    for cap in ("0", "-1"):
+        code = main(["crown-scan", "--input", str(csv_path), "--p", "2",
+                     "--q", "1", "--max-results", cap,
+                     "--out", str(tmp_path / "d")])
+        assert code == 1
 
 
 def test_limit_cone_artifact(tmp_path):
@@ -302,7 +324,7 @@ def test_determinism_identical_runs(tmp_path):
         assert code == 0
     for name in ("gaps.csv", "limit-set.csv", "cone-rays.csv",
                  "limit-set.svg"):
-        blobs = [open(os.path.join(out, name), "rb").read() for out in outs]
+        blobs = [_read_bytes(os.path.join(out, name)) for out in outs]
         assert blobs[0] == blobs[1]
     hashes = []
     for out in outs:

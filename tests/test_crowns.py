@@ -96,6 +96,9 @@ def test_detect_crowns_result_cap():
         assert [c.indices for c in scan] == [c.indices for c in full][:cap]
     with pytest.raises(GeometryError):
         detect_crowns(basis.space, basis.vectors, 0)
+    for cap in (0, -1):
+        with pytest.raises(GeometryError):
+            detect_crowns(basis.space, basis.vectors, 2, max_results=cap)
 
 
 def _random_isometry(rng, j):

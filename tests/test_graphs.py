@@ -82,7 +82,7 @@ def test_custom_graph_violations_detected():
         out = np.stack((np.cos(angle), np.sin(angle)), axis=1)
         return out
 
-    graph = LipschitzGraph(frame, func=func, label="double-winding")
+    graph = LipschitzGraph(frame, func=func)
     report = lipschitz_check(graph, pairs=1000, rng=0)
     assert report.violations > 0
     assert not report.strict
