@@ -62,6 +62,18 @@ class Signature:
         return "Signature({}, {}|{})".format(self.pos, self.neg, self.null)
 
 
+def sign_census(ev, tol):
+    """Counts (pos, neg) of eigenvalues beyond +-tol * radius.
+
+    Eigenvalues run along the last axis, so a stack of spectra gives one
+    count per row. The radius is the largest magnitude in the row, so
+    uniform scaling of a form never changes its census.
+    """
+    thresh = tol * np.max(np.abs(ev), axis=-1, keepdims=True, initial=0.0)
+    return (np.count_nonzero(ev > thresh, axis=-1),
+            np.count_nonzero(ev < -thresh, axis=-1))
+
+
 class QuadraticSpace:
     """A real vector space with a symmetric bilinear form.
 
@@ -89,6 +101,7 @@ class QuadraticSpace:
         self.gram = (gram + gram.T) / 2.0
         self.tol = DEFAULT_TOLERANCE if tol is None else float(tol)
         self._eigenvalues = None
+        self._spectral_radius = None
         self._signature = None
 
     @property
@@ -103,8 +116,11 @@ class QuadraticSpace:
 
     @property
     def spectral_radius(self):
-        ev = self.eigenvalues
-        return float(np.max(np.abs(ev))) if ev.size else 0.0
+        if self._spectral_radius is None:
+            ev = self.eigenvalues
+            self._spectral_radius = float(np.max(np.abs(ev))) if ev.size \
+                else 0.0
+        return self._spectral_radius
 
     @property
     def signature(self):
@@ -115,12 +131,8 @@ class QuadraticSpace:
         Gram matrix never changes the census.
         """
         if self._signature is None:
-            ev = self.eigenvalues
-            thresh = self.tol * self.spectral_radius
-            pos = int(np.sum(ev > thresh))
-            neg = int(np.sum(ev < -thresh))
-            null = self.dim - pos - neg
-            self._signature = Signature(pos, neg, null)
+            pos, neg = sign_census(self.eigenvalues, self.tol)
+            self._signature = Signature(pos, neg, self.dim - pos - neg)
         return self._signature
 
     @property

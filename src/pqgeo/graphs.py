@@ -121,6 +121,8 @@ class LipschitzGraph:
         if U is None:
             raise GeometryError("function graph needs domain points")
         V = np.atleast_2d(self.func(np.atleast_2d(U)))
+        if not np.all(np.isfinite(V)):
+            raise GeometryError("graph map returned non-finite rows")
         norms = np.linalg.norm(V, axis=1)
         if np.max(np.abs(norms - 1.0)) > 1e-8:
             raise GeometryError("graph map left the unit sphere")
@@ -207,12 +209,6 @@ def folded_boundary_graph(p, q):
     return LipschitzGraph(frame, func=func, domain=SPHERE)
 
 
-def _domain_distance(graph, u1, u2):
-    if graph.domain == HEMISPHERE:
-        return sphere_distance(u1, u2)
-    return sphere_distance(u1[1:], u2[1:])
-
-
 def lipschitz_check(graph, pairs=2000, rng=0):
     """Estimate the Lipschitz ratio of a graph over sampled pairs.
 
@@ -224,12 +220,9 @@ def lipschitz_check(graph, pairs=2000, rng=0):
         raise GeometryError("pair count must be at least 1")
     gen = _rng(rng)
     if graph.samples is not None:
-        U = graph.samples[0]
-        V = graph.samples[1]
-        idx = [(i, j) for i in range(len(U)) for j in range(i + 1, len(U))]
-        idx = idx[:pairs]
-        left = np.array([i for i, _ in idx], dtype=int)
-        right = np.array([j for _, j in idx], dtype=int)
+        U, V = graph.samples
+        left, right = np.triu_indices(len(U), k=1)
+        left, right = left[:pairs], right[:pairs]
         U1, U2 = U[left], U[right]
         V1, V2 = V[left], V[right]
     else:
@@ -237,23 +230,18 @@ def lipschitz_check(graph, pairs=2000, rng=0):
         U2 = graph.sample_domain(pairs, gen)
         V1 = graph.evaluate(U1)
         V2 = graph.evaluate(U2)
-    max_ratio = 0.0
-    violations = 0
-    used = 0
-    for u1, u2, v1, v2 in zip(U1, U2, V1, V2):
-        d_dom = _domain_distance(graph, u1, u2)
-        if d_dom <= 1e-9:
-            continue
-        ratio = sphere_distance(v1, v2) / d_dom
-        used += 1
-        if ratio > max_ratio:
-            max_ratio = ratio
-        if ratio > 1.0 + 1e-9:
-            violations += 1
+    if graph.domain == SPHERE:
+        U1, U2 = U1[:, 1:], U2[:, 1:]
+    d_dom = sphere_distance(U1, U2)
+    # Pairs closer than 1e-9 in the domain carry no ratio.
+    far = d_dom > 1e-9
+    ratio = sphere_distance(V1[far], V2[far]) / d_dom[far]
     kernel_dim = None
     if graph.domain == SPHERE:
         kernel_dim, _ = kernel_sphere(graph, rng=gen)
-    return GraphReport(max_ratio, violations, used, kernel_dim)
+    return GraphReport(np.max(ratio, initial=0.0),
+                       np.count_nonzero(ratio > 1.0 + 1e-9), len(ratio),
+                       kernel_dim)
 
 
 def graph_points(graph, count=128, rng=0):
@@ -273,19 +261,19 @@ def kernel_sphere(graph, count=512, rng=0):
     if graph.domain != SPHERE:
         raise GeometryError("kernel sphere is defined for boundary graphs")
     U = graph.sample_domain(count, _rng(rng))
-    n = len(U)
     lookup = {tuple(np.round(row, 12)): i for i, row in enumerate(U)}
     V = graph.evaluate(U)
-    members = []
-    for i in range(n):
-        j = lookup.get(tuple(np.round(-U[i], 12)))
-        if j is None:
-            continue
-        if sphere_distance(V[j], -V[i]) <= KERNEL_THRESHOLD:
-            members.append(U[i])
-    if not members:
-        return 0, np.zeros((0, graph.p + 1))
-    members = np.array(members)
+    rows = []
+    antipodes = []
+    for i, row in enumerate(U):
+        j = lookup.get(tuple(np.round(-row, 12)))
+        if j is not None:
+            rows.append(i)
+            antipodes.append(j)
+    odd = sphere_distance(V[antipodes], -V[rows]) <= KERNEL_THRESHOLD
+    members = U[rows][odd]
+    if not len(members):
+        return 0, members
     k = int(np.linalg.matrix_rank(members, tol=1e-6))
     return k, members
 

@@ -163,6 +163,20 @@ def test_coxeter_scan_artifacts(tmp_path):
     assert roots[1] == pytest.approx(1.6821037985079952, abs=1e-10)
 
 
+def test_coxeter_scan_non_finite_grid_is_exit_1(tmp_path, capsys):
+    path = _write(tmp_path / "diagram.json", {
+        "N": 2, "m": [[1, "inf"], ["inf", 1]]})
+    with warnings.catch_warnings():
+        # np.linspace warns as it spreads a NaN end over the grid.
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code = main(["coxeter-scan", "--diagram", path, "--t-max", "nan",
+                     "--out", str(tmp_path / "run")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("error:")] \
+        == ["error: Gram matrix has non-finite entries"]
+
+
 def test_coxeter_scan_bad_diagram_is_exit_2(tmp_path):
     path = _write(tmp_path / "diagram.json", {"N": 2, "m": [[1, 3], [4, 1]]})
     code = main(["coxeter-scan", "--diagram", path,

@@ -5,13 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from pqgeo.crowns import crown_orbit_graph
 from pqgeo.forms import GeometryError, standard_space
-from pqgeo.graphs import (LipschitzGraph, constant_graph, equatorial_graph,
-                          folded_boundary_graph, graph_points,
-                          isotropic_boundary_graph, kernel_sphere,
-                          lipschitz_check, maximal_graph, split_spacetime,
-                          timelike_distance)
-from pqgeo.model import TimelikeFrame
+from pqgeo.graphs import (SPHERE, LipschitzGraph, constant_graph,
+                          equatorial_graph, folded_boundary_graph,
+                          graph_points, isotropic_boundary_graph,
+                          kernel_sphere, lipschitz_check, maximal_graph,
+                          split_spacetime, timelike_distance)
+from pqgeo.model import TimelikeFrame, sphere_distance
 
 
 def test_constant_graph_is_strict():
@@ -86,6 +87,107 @@ def test_custom_graph_violations_detected():
     report = lipschitz_check(graph, pairs=1000, rng=0)
     assert report.violations > 0
     assert not report.strict
+
+
+def _arc(u, v):
+    return float(np.arccos(np.clip(float(u @ v), -1.0, 1.0)))
+
+
+def _lipschitz_by_loop(graph, pairs, seed):
+    """lipschitz_check's report fields from a loop over pairs."""
+    gen = np.random.default_rng(seed)
+    if graph.samples is not None:
+        U, V = graph.samples
+        idx = [(i, j) for i in range(len(U))
+               for j in range(i + 1, len(U))][:pairs]
+        U1, V1 = U[[i for i, _ in idx]], V[[i for i, _ in idx]]
+        U2, V2 = U[[j for _, j in idx]], V[[j for _, j in idx]]
+    else:
+        U1 = graph.sample_domain(pairs, gen)
+        U2 = graph.sample_domain(pairs, gen)
+        V1, V2 = graph.evaluate(U1), graph.evaluate(U2)
+    max_ratio, violations, used = 0.0, 0, 0
+    for u1, u2, v1, v2 in zip(U1, U2, V1, V2):
+        if graph.domain == SPHERE:
+            u1, u2 = u1[1:], u2[1:]
+        d_dom = _arc(u1, u2)
+        if d_dom <= 1e-9:
+            continue
+        ratio = _arc(v1, v2) / d_dom
+        used += 1
+        max_ratio = max(max_ratio, ratio)
+        violations += ratio > 1.0 + 1e-9
+    kernel_dim = None
+    if graph.domain == SPHERE:
+        U = graph.sample_domain(512, gen)
+        V = graph.evaluate(U)
+        lookup = {tuple(np.round(row, 12)): i for i, row in enumerate(U)}
+        members = []
+        for u, v in zip(U, V):
+            j = lookup.get(tuple(np.round(-u, 12)))
+            if j is not None and _arc(V[j], -v) <= 1e-8:
+                members.append(u)
+        kernel_dim = (int(np.linalg.matrix_rank(np.array(members), tol=1e-6))
+                      if members else 0)
+    return max_ratio, violations, used, kernel_dim
+
+
+def _crown_table():
+    """Sample table of a crown orbit graph, five rows stored twice."""
+    graph = crown_orbit_graph(np.array([0.6, 0.8]))
+    U = graph.sample_domain(40, 0)
+    V = graph.evaluate(U)
+    return LipschitzGraph(graph.frame,
+                          samples=(np.vstack((U, U[:5])),
+                                   np.vstack((V, V[:5]))))
+
+
+@pytest.mark.parametrize("pairs", [300, 2000])
+@pytest.mark.parametrize("graph", [
+    maximal_graph(2, 1), folded_boundary_graph(2, 2),
+    isotropic_boundary_graph(2, 2), crown_orbit_graph(np.array([0.6, 0.8])),
+    _crown_table(), equatorial_graph(2, 2)],
+    ids=["hemisphere", "folded", "isotropic", "crown", "table", "equator"])
+def test_lipschitz_check_matches_loop_bit_for_bit(graph, pairs):
+    report = lipschitz_check(graph, pairs=pairs, rng=3)
+    max_ratio, violations, used, kernel_dim = _lipschitz_by_loop(
+        graph, pairs, 3)
+    assert report.max_ratio.hex() == max_ratio.hex()
+    assert report.violations == violations
+    assert report.pairs_used == used
+    assert report.kernel_dim == kernel_dim
+
+
+def test_non_finite_images_are_refused():
+    """A NaN image row once passed as strict: no NaN ratio is a violation."""
+    base = maximal_graph(2, 1)
+
+    def func(U):
+        V = base.func(U)
+        V[::7] = np.nan
+        return V
+
+    graph = LipschitzGraph(base.frame, func=func)
+    with pytest.raises(GeometryError, match="non-finite"):
+        graph.evaluate(graph.sample_domain(20, 0))
+    with pytest.raises(GeometryError, match="non-finite"):
+        lipschitz_check(graph, pairs=200, rng=0)
+    U = base.sample_domain(20, 0)
+    V = base.evaluate(U)
+    V[7] = np.nan
+    table = LipschitzGraph(base.frame, samples=(U, V))
+    with pytest.raises(GeometryError, match="non-unit"):
+        lipschitz_check(table, pairs=200, rng=0)
+
+
+def test_sphere_distance_refuses_non_finite_dots():
+    with pytest.raises(GeometryError):
+        sphere_distance(np.array([np.nan, 0.0]), np.array([1.0, 0.0]))
+    rows = np.array([[1.0, 0.0], [np.inf, 0.0]])
+    with pytest.raises(GeometryError):
+        sphere_distance(rows, np.array([[1.0, 0.0], [1.0, 0.0]]))
+    assert sphere_distance(np.array([1.0, 0.0]), np.array([0.0, 1.0])) \
+        == pytest.approx(math.pi / 2.0)
 
 
 def test_split_spacetime_combines_factors():

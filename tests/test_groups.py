@@ -127,6 +127,71 @@ def test_signature_scan_rows():
         signature_scan(diagram, [-0.1])
 
 
+def _scan_row_by_loop(diagram, t):
+    """(det, signature, residual) at one t, one matrix at a time."""
+    n = diagram.n
+    A = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            m = diagram.order(i, j)
+            A[i, j] = (-2.0 - t if m == INFINITE
+                       else -2.0 * math.cos(math.pi / m))
+    gens = []
+    for i in range(n):
+        g = np.eye(n)
+        g[i, :] -= A[i, :]
+        gens.append(g)
+    eye = np.eye(n)
+    worst = 0.0
+    for g in gens:
+        worst = max(worst, np.linalg.norm(g @ g - eye))
+    for i, j in diagram.finite_pairs():
+        power = np.linalg.matrix_power(gens[i] @ gens[j], diagram.order(i, j))
+        worst = max(worst, np.linalg.norm(power - eye))
+    ev = np.linalg.eigvalsh((A + A.T) / 2.0)
+    thresh = 1e-9 * float(np.max(np.abs(ev)))
+    pos = int(np.sum(ev > thresh))
+    neg = int(np.sum(ev < -thresh))
+    return float(np.linalg.det(A)), (pos, neg, n - pos - neg), float(worst)
+
+
+@pytest.mark.parametrize("steps", [500, 131])
+@pytest.mark.parametrize("diagram", [
+    pentagon_with_arms(10, 11), pentagon_with_arms(8, 9, corner_order=4),
+    pentagon_with_arms(7, 13)], ids=["10-11", "8-9-4", "7-13"])
+def test_signature_scan_matches_loop_bit_for_bit(diagram, steps):
+    """The blocked scan gives the bits of a loop over t.
+
+    131 steps leave a partial last block. The 7-13 diagram has dense
+    relation residuals, on which a row-sum Frobenius norm would round
+    differently from np.linalg.norm.
+    """
+    grid = np.linspace(0.0, 5.0, steps)
+    rows = signature_scan(diagram, grid)
+    assert len(rows) == steps
+    for t, row in zip(grid, rows):
+        det, signature, residual = _scan_row_by_loop(diagram, t)
+        assert row.t.hex() == float(t).hex()
+        assert row.det.hex() == det.hex()
+        assert row.relation_residual.hex() == residual.hex()
+        assert row.signature.as_tuple() == signature
+    for t in grid[::50]:
+        rep = ReflectionRep(diagram, t)
+        det, signature, residual = _scan_row_by_loop(diagram, t)
+        assert rep.relation_residual().hex() == residual.hex()
+        assert rep.signature.as_tuple() == signature
+
+
+@pytest.mark.parametrize("bad, message", [
+    (math.nan, "non-finite"), (math.inf, "non-finite"),
+    (-0.5, "nonnegative")])
+def test_signature_scan_rejects_bad_grid_values(bad, message):
+    grid = np.linspace(0.0, 5.0, 131)
+    grid[100] = bad
+    with pytest.raises(GeometryError, match=message):
+        signature_scan(pentagon_with_arms(10, 11), grid)
+
+
 def test_canonical_X():
     X = canonical_X(2, 1, 1)
     expect = np.zeros((4, 4))

@@ -107,3 +107,19 @@ def test_workload_passes_meet_their_checks():
             workload.teardown(inputs)
         failed = [label for label, ok in checks if not ok]
         assert commands and checks and not failed, (name, failed)
+
+
+def test_geometry_kernels_full_pass_at_criterion_seed():
+    """Full-size geometry-kernels pass at seed 5, where 6812/3188 is pinned.
+
+    The probe pass above classifies 200 pairs and scans a 50-value grid,
+    so only this pass runs the sizes the benchmark runs.
+    """
+    workload = _perfbench_module("workloads").WORKLOADS["geometry-kernels"]
+    inputs = workload.setup(5)
+    outputs, commands = workload.run(inputs)
+    checks = dict(workload.check(inputs, outputs))
+    assert checks.pop("criterion8_split_6812_3188")
+    assert commands and all(checks.values()), checks
+    assert outputs["classes"]["spacelike"] == 6812
+    assert outputs["classes"]["timelike"] == 3188
