@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from .forms import GeometryError, NearIndex
-from .model import (BoundaryPoint, SignConsistencyError, lift_nonpositive,
+from .model import (LimitSet, SignConsistencyError, lift_nonpositive,
                     lift_rows)
 
 CLUSTER_REL = 1e-7
@@ -119,15 +119,12 @@ class GapSeries:
 
 
 def _cyclic_reduce(word, inverse_letter):
-    w = tuple(word)
-    while len(w) >= 2 and inverse_letter[w[-1]] == w[0]:
-        w = w[1:-1]
-    return w
+    while len(word) >= 2 and inverse_letter[word[-1]] == word[0]:
+        word = word[1:-1]
+    return word
 
 
 def _canonical_rotation(word):
-    if not word:
-        return word
     return min(word[i:] + word[:i] for i in range(len(word)))
 
 
@@ -144,11 +141,9 @@ def gap_series(ball, r):
     r = _rank(ball.moduli.shape[1], r)
     per_length = {length: [] for length in range(1, ball.L + 1)}
     seen = set()
-    for entry, moduli in zip(ball, ball.moduli):
-        length = len(entry.word)
-        if length == 0:
-            continue
-        reduced = _cyclic_reduce(entry.word, ball.inverse_letter)
+    for word, moduli in zip(ball.words[1:], ball.moduli[1:]):
+        length = len(word)
+        reduced = _cyclic_reduce(word, ball.inverse_letter)
         if len(reduced) < length:
             continue
         key = _canonical_rotation(reduced)
@@ -157,14 +152,17 @@ def gap_series(ball, r):
         seen.add(key)
         lam = _log_moduli(moduli, r)
         per_length[length].append(float(lam[0] - lam[1]))
-    lengths = sorted(per_length)
-    mins, medians, counts = [], [], []
-    for length in lengths:
-        gaps = per_length[length]
-        counts.append(len(gaps))
-        mins.append(min(gaps) if gaps else math.nan)
-        medians.append(float(np.median(gaps)) if gaps else math.nan)
-    return GapSeries(lengths, mins, medians, counts)
+    spheres = list(per_length.values())
+    return GapSeries(list(per_length),
+                     [min(gaps) if gaps else math.nan for gaps in spheres],
+                     [float(np.median(gaps)) if gaps else math.nan
+                      for gaps in spheres],
+                     [len(gaps) for gaps in spheres])
+
+
+def _unit_rows(rows):
+    """Rows over their Euclidean norms; np.vecdot keeps a per-row norm's bits."""
+    return rows / np.sqrt(np.vecdot(rows, rows))[:, None]
 
 
 def sample_limit_set(space, ball, gap_threshold):
@@ -173,15 +171,16 @@ def sample_limit_set(space, ball, gap_threshold):
     Only elements whose top two log-moduli differ by at least the
     threshold emit a point, which makes the top eigenvalue simple and
     real; the resulting eigenvector is isotropic because the element
-    preserves the form. Projectively duplicate points are merged.
+    preserves the form. Projectively duplicate points are merged, the
+    first kept point winning. Returns a :class:`~pqgeo.model.LimitSet`.
 
-    The gaps come from the ball's spectral table, the form precheck is one
-    stacked residual, and one stacked ``np.linalg.eig`` serves every
-    element that passes the gap; duplicates are found through a
-    :class:`~pqgeo.forms.NearIndex`.
+    The gaps come from the ball's spectral table. One stacked
+    ``np.linalg.eig`` serves every emitting element, and the eigenvectors
+    are scaled and checked as one array; only the merge, through a
+    :class:`~pqgeo.forms.NearIndex`, runs point by point.
     """
-    if gap_threshold <= 0.0:
-        raise GeometryError("gap threshold must be positive")
+    if not 0.0 < gap_threshold < math.inf:
+        raise GeometryError("gap threshold must be positive and finite")
     stack = ball.stack
     residual = np.linalg.norm(
         stack.transpose(0, 2, 1) @ space.gram @ stack - space.gram,
@@ -190,45 +189,47 @@ def sample_limit_set(space, ball, gap_threshold):
         1.0, np.linalg.norm(stack, axis=(1, 2)) ** 2)
     bad = np.flatnonzero(residual > bound)
     if bad.size:
-        entry = ball.entries[bad[0]]
         raise GeometryError(
             "ball element %s does not preserve the form (residual %g)"
-            % (ball.word_label(entry.word), residual[bad[0]]))
+            % (ball.word_label(ball.words[bad[0]]), residual[bad[0]]))
     rank = _rank(ball.moduli.shape[1], 2)
     emitting = []
-    for i, (entry, moduli) in enumerate(zip(ball, ball.moduli)):
-        if not entry.word:
-            continue
-        lam = _log_moduli(moduli, rank)
+    for i in range(1, len(ball)):
+        lam = _log_moduli(ball.moduli[i], rank)
         if lam[0] - lam[1] >= gap_threshold:
             emitting.append(i)
-    scale = max(space.spectral_radius, 1.0)
-    points = []
+    values, vectors = np.linalg.eig(stack[emitting])
+    top = np.argmax(np.abs(values), axis=1)[:, None, None]
+    vecs = np.take_along_axis(vectors, top, axis=2)[:, :, 0]
+    pivots = np.take_along_axis(
+        vecs, np.argmax(np.abs(vecs), axis=1)[:, None], axis=1)
+    rows = vecs / pivots
+    if np.max(np.abs(rows.imag), initial=0.0) > 1e-8:
+        raise GeometryError("top eigenvector is not real")
+    # The stack is complex when any element has a complex spectrum; an
+    # element with a real spectrum divides in real arithmetic, as its own
+    # eig call would. The copy is contiguous: np.vecdot rounds differently
+    # on the strided .real view.
+    rows = rows.real.copy()
+    real = ~np.any(values.imag, axis=1)
+    rows[real] = vecs[real].real / pivots[real].real
+    once = _unit_rows(rows)
+    isotropy = np.abs(space.eval(once))
+    bad = np.flatnonzero(isotropy > 1e-8 * max(space.spectral_radius, 1.0))
+    if bad.size:
+        raise GeometryError(
+            "limit point fails isotropy: |b| = %g" % isotropy[bad[0]])
     kept = NearIndex(space.dim, POINT_MERGE_TOL)
-    all_values, all_vectors = np.linalg.eig(stack[emitting])
-    for eigenvalues, vectors in zip(all_values, all_vectors):
-        # The stack is complex when any element has a complex spectrum;
-        # an element with a real spectrum divides by its pivot in real
-        # arithmetic, as its own eig call would.
-        if not np.any(eigenvalues.imag):
-            eigenvalues, vectors = eigenvalues.real, vectors.real
-        idx = int(np.argmax(np.abs(eigenvalues)))
-        vec = vectors[:, idx]
-        pivot = vec[int(np.argmax(np.abs(vec)))]
-        vec = vec / pivot
-        if np.max(np.abs(vec.imag)) > 1e-8:
-            raise GeometryError("top eigenvector is not real")
-        vec = vec.real
-        vec = vec / np.linalg.norm(vec)
-        if abs(space.eval(vec)) > 1e-8 * scale:
-            raise GeometryError(
-                "limit point fails isotropy: |b| = %g" % abs(space.eval(vec)))
+    source = []
+    for i, vec in enumerate(once):
         if ((kept.distances(vec) <= POINT_MERGE_TOL).any()
                 or (kept.distances(-vec) <= POINT_MERGE_TOL).any()):
             continue
         kept.add(vec)
-        points.append(BoundaryPoint(space, vec))
-    return points
+        source.append(i)
+    # The second normalization is the one a BoundaryPoint applies.
+    return LimitSet(space, _unit_rows(once[source]),
+                    np.array(emitting, dtype=int)[source])
 
 
 class NegativityReport:
@@ -256,8 +257,7 @@ def negativity_test(space, points):
     rows = lift_rows(points)
     if len(rows) < 2:
         raise GeometryError("negativity test needs at least two points")
-    # Row by row: a vectorized norm may round differently and move lifts.
-    lifts = np.array([vec / np.linalg.norm(vec) for vec in rows])
+    lifts = _unit_rows(rows)
     try:
         _, _, pairing = lift_nonpositive(space, lifts)
     except SignConsistencyError as err:
@@ -288,9 +288,7 @@ def limit_cone_sample(ball, r):
     """
     r = _rank(ball.moduli.shape[1], r)
     kept = NearIndex(r, RAY_ANGLE_TOL)
-    for entry, moduli in zip(ball, ball.moduli):
-        if not entry.word:
-            continue
+    for moduli in ball.moduli[1:]:
         lam = _log_moduli(moduli, r)
         norm = float(np.linalg.norm(lam))
         if norm <= 1e-12:

@@ -98,15 +98,17 @@ def _load_array(path, ndim):
 
 
 def _resolve_tol(args):
-    if args.tol is not None:
-        return args.tol
+    tol, origin = args.tol, "--tol"
     env = os.environ.get("PQGEO_TOL")
-    if env:
+    if tol is None and env:
         try:
-            return float(env)
+            tol, origin = float(env), "PQGEO_TOL"
         except ValueError:
             raise InputError("PQGEO_TOL is not a number: %r" % env)
-    return None
+    if tol is not None and not 0.0 <= tol < math.inf:
+        raise InputError("%s must be finite and non-negative, not %r"
+                         % (origin, tol))
+    return tol
 
 
 def _space_from_args(args, tol):
@@ -479,10 +481,8 @@ def _run_anosov_diagnose(args, tol, out):
     _write_csv(out("gaps.csv"),
                ["length", "min", "median", "count"], series.rows())
     points = sample_limit_set(space, ball, args.gap_threshold)
-    lifts = np.array([pt.lift for pt in points]) if points else \
-        np.zeros((0, space.dim))
     _write_csv(out("limit-set.csv"),
-               ["x%d" % i for i in range(space.dim)], lifts)
+               ["x%d" % i for i in range(space.dim)], points.rows)
     _write_csv(out("cone-rays.csv"),
                ["lambda%d" % (i + 1) for i in range(args.r)], rays)
     chart = args.chart.split(",")
@@ -496,7 +496,7 @@ def _run_anosov_diagnose(args, tol, out):
         raise InputError("--chart indices out of range for dimension %d"
                          % space.dim)
     _svg_scatter(out("limit-set.svg"),
-                 [(row[ci], row[cj]) for row in lifts],
+                 [(row[ci], row[cj]) for row in points.rows],
                  "x%d" % ci, "x%d" % cj, "sampled limit set")
     negativity = None
     if len(points) >= 2:
@@ -559,8 +559,8 @@ def build_parser():
     common.add_argument("--seed", type=int, default=0,
                         help="seed for all pseudo-random sampling")
     common.add_argument("--tol", type=float, default=None,
-                        help="tolerance override (default: PQGEO_TOL or "
-                             "builtin)")
+                        help="relative tolerance, finite and >= 0 "
+                             "(default: PQGEO_TOL or builtin 1e-9)")
     common.add_argument("--out", default=".",
                         help="output directory for artifacts")
 

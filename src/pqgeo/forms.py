@@ -84,8 +84,8 @@ class QuadraticSpace:
         accepted; the null count simply shows up in the signature.
     tol : float, optional
         Relative tolerance for sign decisions, measured against the
-        spectral radius of the Gram matrix. Defaults to
-        ``DEFAULT_TOLERANCE``.
+        spectral radius of the Gram matrix; finite and non-negative.
+        Defaults to ``DEFAULT_TOLERANCE``.
     """
 
     def __init__(self, gram, tol=None):
@@ -100,6 +100,8 @@ class QuadraticSpace:
             raise GeometryError("Gram matrix is not symmetric")
         self.gram = (gram + gram.T) / 2.0
         self.tol = DEFAULT_TOLERANCE if tol is None else float(tol)
+        if not 0.0 <= self.tol < math.inf:
+            raise GeometryError("tolerance must be finite and non-negative")
         self._eigenvalues = None
         self._spectral_radius = None
         self._signature = None

@@ -14,6 +14,7 @@ Four families of machinery live here:
 """
 
 import math
+from collections import namedtuple
 
 import numpy as np
 
@@ -25,6 +26,9 @@ INFINITE = math.inf
 LIE_RESIDUAL = 1e-10
 DEDUP_FROBENIUS = 1e-8
 SCAN_BLOCK = 32
+
+# What iterating a WordBall yields for each element.
+BallElement = namedtuple("BallElement", "word matrix")
 
 
 def _as_order(value):
@@ -661,67 +665,54 @@ def polygon_deform(space, v0, v2, alpha, e, base=None):
     return PolygonDeformation(space, midpoint, radius, base_dir, new_dir)
 
 
-def _projective_normalize(matrix):
-    flat = matrix.ravel()
-    pivot = flat[np.argmax(np.abs(flat))]
-    return matrix / pivot
-
-
-class WordEntry:
-    """A group element with the shortest word that produced it."""
-
-    __slots__ = ("word", "matrix", "normalized")
-
-    def __init__(self, word, matrix, normalized):
-        self.word = word
-        self.matrix = matrix
-        self.normalized = normalized
-
-    def __repr__(self):
-        return "WordEntry(word={})".format(self.word)
-
-
 class WordBall:
     """Deduplicated ball of words in the generators and their inverses.
 
     Letters are alphabet indices; inverse_letter maps each letter to the
-    index of its inverse (itself for involutions). Entries are in BFS
-    order, identity first, and each carries the first (hence shortest)
-    word that reached it.
-
-    The ball also keeps its spectral table: ``stack`` holds the entry
-    matrices as one (N, d, d) array and ``moduli[i]`` the eigenvalue
-    moduli of entry i in descending order, computed once for every
-    consumer of Jordan projections.
+    index of its inverse (itself for involutions). The ball is a
+    breadth-first tree, identity first: element i is ``stack[i]``, the
+    product of element ``parent[i]`` with letter ``letter[i]`` (-1 for
+    the identity), and ``moduli[i]`` holds its eigenvalue moduli in
+    descending order. Iteration yields ``(word, matrix)`` pairs.
     """
 
-    def __init__(self, generators, alphabet, labels, inverse_letter, L,
-                 entries):
-        self.generators = generators
+    def __init__(self, alphabet, labels, inverse_letter, L, stack, parent,
+                 letter):
         self.alphabet = alphabet
         self.labels = labels
         self.inverse_letter = inverse_letter
         self.L = int(L)
-        self.entries = entries
-        self.stack = np.array([entry.matrix for entry in entries])
+        self.stack = stack
+        self.parent = parent
+        self.letter = letter
         # Keep the reversed view: np.log on a contiguous row can take a
         # vector path that rounds differently from jordan_projection.
-        self.moduli = np.sort(np.abs(np.linalg.eigvals(self.stack)),
+        self.moduli = np.sort(np.abs(np.linalg.eigvals(stack)),
                               axis=1)[:, ::-1]
 
+    @property
+    def words(self):
+        """The word of each element, rebuilt from the parent pointers."""
+        words = [()]
+        for up, letter in zip(self.parent[1:].tolist(),
+                              self.letter[1:].tolist()):
+            words.append(words[up] + (letter,))
+        return words
+
     def __len__(self):
-        return len(self.entries)
+        return len(self.parent)
 
     def __iter__(self):
-        return iter(self.entries)
+        return (BallElement(word, matrix)
+                for word, matrix in zip(self.words, self.stack))
 
     def sphere(self, length):
-        return [entry for entry in self.entries if len(entry.word) == length]
+        """Indices of the elements whose word has the given length."""
+        return np.array([i for i, word in enumerate(self.words)
+                         if len(word) == length], dtype=int)
 
     def word_label(self, word):
-        if not word:
-            return "1"
-        return ".".join(self.labels[letter] for letter in word)
+        return ".".join(self.labels[letter] for letter in word) or "1"
 
 
 def word_ball(generators, L):
@@ -729,7 +720,7 @@ def word_ball(generators, L):
 
     Words avoid immediate backtracking; a product already seen (Frobenius
     distance below 1e-8 after dividing by the largest-magnitude entry) is
-    dropped, so each entry keeps its shortest representative. Candidates
+    dropped, so each element keeps its shortest representative. Candidates
     are compared only with the kept elements of their
     :class:`~pqgeo.forms.NearIndex` buckets, which gives the decisions of
     a scan over all kept elements. The returned ball carries its spectral
@@ -745,56 +736,45 @@ def word_ball(generators, L):
     labels = []
     inverse_letter = []
 
-    def find_letter(matrix):
+    def letter_of(matrix, label):
         for idx, existing in enumerate(alphabet):
             if np.max(np.abs(existing - matrix)) < 1e-12:
                 return idx
-        return None
+        alphabet.append(matrix)
+        labels.append(label)
+        inverse_letter.append(None)
+        return len(alphabet) - 1
 
     for i, g in enumerate(gens):
         if g.shape != (d, d):
             raise GeometryError("generators must share a square shape")
         if abs(np.linalg.det(g)) < 1e-12:
             raise GeometryError("generator %d is not invertible" % i)
-        inv = np.linalg.inv(g)
-        gi = find_letter(g)
-        if gi is None:
-            alphabet.append(g)
-            labels.append("g%d" % i)
-            inverse_letter.append(None)
-            gi = len(alphabet) - 1
-        ii = find_letter(inv)
-        if ii is None:
-            alphabet.append(inv)
-            labels.append("g%d^-1" % i)
-            inverse_letter.append(None)
-            ii = len(alphabet) - 1
+        gi = letter_of(g, "g%d" % i)
+        ii = letter_of(np.linalg.inv(g), "g%d^-1" % i)
         inverse_letter[gi] = ii
         inverse_letter[ii] = gi
 
-    identity = np.eye(d)
-    entries = [WordEntry((), identity, _projective_normalize(identity))]
+    stack, parent, letters = [np.eye(d)], [-1], [-1]
     seen = NearIndex(d * d, DEDUP_FROBENIUS)
-    seen.add(entries[0].normalized.ravel())
-    frontier = [entries[0]]
+    seen.add(stack[0].ravel())
+    # Each sphere is the run of elements appended while the last was read.
+    frontier = range(1)
     for _ in range(L):
-        next_frontier = []
-        for entry in frontier:
-            last = entry.word[-1] if entry.word else None
+        for i in frontier:
+            last = letters[i]
             for letter in range(len(alphabet)):
-                if last is not None and inverse_letter[last] == letter:
+                if last >= 0 and inverse_letter[last] == letter:
                     continue
-                matrix = entry.matrix @ alphabet[letter]
-                normalized = _projective_normalize(matrix)
-                flat = normalized.ravel()
+                matrix = stack[i] @ alphabet[letter]
+                flat = matrix.ravel()
+                flat = flat / flat[np.argmax(np.abs(flat))]
                 if (seen.distances(flat) < DEDUP_FROBENIUS).any():
                     continue
-                new_entry = WordEntry(entry.word + (letter,), matrix,
-                                      normalized)
-                entries.append(new_entry)
                 seen.add(flat)
-                next_frontier.append(new_entry)
-        frontier = next_frontier
-        if not frontier:
-            break
-    return WordBall(gens, alphabet, labels, inverse_letter, L, entries)
+                stack.append(matrix)
+                parent.append(i)
+                letters.append(letter)
+        frontier = range(frontier.stop, len(stack))
+    return WordBall(alphabet, labels, inverse_letter, L, np.array(stack),
+                    np.array(parent), np.array(letters))

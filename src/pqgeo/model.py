@@ -39,19 +39,34 @@ def sphere_distance(u, v):
 
     The one clamp-and-check rule of every sphere distance: a dot whose
     size exceeds 1 + 1e-9, or that is not finite, is refused as non-unit
-    input; the rest is clamped to [-1, 1] and goes through np.arccos.
+    input. Where |dot| > 0.99 the arc comes from the chord, as
+    2 asin(|u - v| / 2) or pi - 2 asin(|u + v| / 2), since arccos loses
+    half the digits of a small angle (a row paired with itself could
+    read 1.5e-8); elsewhere the clamped dot goes through np.arccos.
     Rows keep the bits of a loop over pairs: np.vecdot gives the dots of
-    a 1-D ``@`` (einsum or a row sum would not), and np.arccos gives the
-    same angle on an array as on one value (math.acos would not). A
-    single pair is clamped in Python, as np.clip costs ten times more.
+    a 1-D ``@`` (einsum or a row sum would not), and numpy's arccos and
+    arcsin give the same angle on an array as on one value (math.acos
+    would not). A single pair is clamped in Python, as np.clip costs ten
+    times more.
     """
     dot = np.vecdot(u, v)
     if isinstance(dot, np.ndarray):
         if not np.all(np.abs(dot) <= 1.0 + 1e-9):
             raise GeometryError("sphere_distance got non-unit input")
-        return np.arccos(np.clip(dot, -1.0, 1.0))
+        arc = np.arccos(np.clip(dot, -1.0, 1.0))
+        near = np.flatnonzero(np.abs(dot) > 0.99)
+        if near.size:
+            ahead = dot[near] > 0.0
+            chord = u[near] - np.where(ahead, 1.0, -1.0)[:, None] * v[near]
+            half = 2.0 * np.arcsin(np.sqrt(np.vecdot(chord, chord)) / 2.0)
+            arc[near] = np.where(ahead, half, np.pi - half)
+        return arc
     if not abs(dot) <= 1.0 + 1e-9:
         raise GeometryError("sphere_distance got non-unit input")
+    if abs(dot) > 0.99:
+        chord = u - v if dot > 0.0 else u + v
+        half = 2.0 * float(np.arcsin(math.sqrt(chord @ chord) / 2.0))
+        return half if dot > 0.0 else math.pi - half
     return float(np.arccos(min(max(dot, -1.0), 1.0)))
 
 
@@ -73,7 +88,8 @@ class HPoint:
                 raise GeometryError("vector is not negative; cannot normalize")
             vec = vec / np.sqrt(-value)
         else:
-            scale = max(space.spectral_radius, 1.0)
+            # The rounding in b(v, v) grows like |v|^2.
+            scale = max(space.spectral_radius, 1.0) * max(1.0, vec @ vec)
             if abs(value + 1.0) > VALIDATION_THRESHOLD * scale:
                 raise GeometryError(
                     "lift is not on the b = -1 quadric (b(v,v) = %g)" % value)
@@ -115,6 +131,25 @@ class BoundaryPoint:
     def __repr__(self):
         return "BoundaryPoint({}, orientation={:+d})".format(
             np.array2string(self.vec, precision=6), self.orientation)
+
+
+class LimitSet:
+    """Unit lifts as rows; ``rows[i]`` came from ball element ``source[i]``.
+
+    Iteration yields :class:`BoundaryPoint` objects, whose own
+    normalization can move the last bit of a row: read ``rows`` instead.
+    """
+
+    def __init__(self, space, rows, source):
+        self.space = space
+        self.rows = rows
+        self.source = source
+
+    def __len__(self):
+        return len(self.rows)
+
+    def __iter__(self):
+        return (BoundaryPoint(self.space, row) for row in self.rows)
 
 
 class TimelikeFrame:
@@ -283,7 +318,9 @@ def pair_class_conformal(frame, x, y):
 
 
 def lift_rows(points):
-    """Lift vectors as rows, from BoundaryPoints or an array-like of rows."""
+    """Lift vectors as rows, from a LimitSet, BoundaryPoints or rows."""
+    if isinstance(points, LimitSet):
+        return points.rows
     if len(points) and isinstance(points[0], BoundaryPoint):
         return np.array([pt.lift for pt in points], dtype=float)
     return np.atleast_2d(np.asarray(points, dtype=float))

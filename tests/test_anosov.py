@@ -1,6 +1,7 @@
 """Tests for Jordan projections, proximality, and limit-set sampling."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -158,8 +159,68 @@ def test_sample_limit_set_matches_per_element_eig(space, gens):
     ball = word_ball(gens(), 6)
     if space.dim == 5:
         assert np.iscomplexobj(np.linalg.eigvals(ball.stack))
-    lifts = np.array([pt.lift for pt in sample_limit_set(space, ball, 1.0)])
+    lifts = sample_limit_set(space, ball, 1.0).rows
     assert np.array_equal(lifts, _limit_set_by_element(space, ball, 1.0))
+
+
+def _limit_set_by_point(space, ball, gap_threshold):
+    """The per-point loop over one stacked eig, with a BoundaryPoint each."""
+    emitting = [i for i in range(1, len(ball))
+                if np.subtract(*np.log(ball.moduli[i][:2])) >= gap_threshold]
+    kept = np.empty((len(emitting), space.dim))
+    points, source = [], []
+    all_values, all_vectors = np.linalg.eig(ball.stack[emitting])
+    for i, eigenvalues, vectors in zip(emitting, all_values, all_vectors):
+        if not np.any(eigenvalues.imag):
+            eigenvalues, vectors = eigenvalues.real, vectors.real
+        vec = vectors[:, int(np.argmax(np.abs(eigenvalues)))]
+        vec = (vec / vec[int(np.argmax(np.abs(vec)))]).real
+        vec = vec / np.linalg.norm(vec)
+        if abs(space.eval(vec)) > 1e-8:
+            raise GeometryError(
+                "limit point fails isotropy: |b| = %g" % abs(space.eval(vec)))
+        old = kept[:len(points)]
+        if (np.any(np.linalg.norm(old - vec, axis=1) <= 1e-6)
+                or np.any(np.linalg.norm(old + vec, axis=1) <= 1e-6)):
+            continue
+        kept[len(points)] = vec
+        points.append(BoundaryPoint(space, vec))
+        source.append(i)
+    return np.array([pt.lift for pt in points]), source
+
+
+@pytest.mark.parametrize("L", [6, 7])
+@pytest.mark.parametrize("space,gens", CRITERION_12)
+def test_limit_set_rows_match_per_point_loop(space, gens, L):
+    """Rows and sources equal those of a BoundaryPoint per kept point."""
+    ball = word_ball(gens(), L)
+    try:
+        lifts, source = _limit_set_by_point(space, ball, 1.0)
+    except GeometryError as err:
+        # Some BLAS kernels give an eigenvector off the quadric at L=7.
+        with pytest.raises(GeometryError, match=re.escape(str(err))):
+            sample_limit_set(space, ball, 1.0)
+        return
+    limit = sample_limit_set(space, ball, 1.0)
+    assert np.array_equal(limit.rows, lifts)
+    assert limit.source.tolist() == source
+    assert len(limit) == len(source)
+
+
+@pytest.mark.parametrize("space,gens", CRITERION_12)
+def test_limit_set_rows_are_attractors(space, gens):
+    """rows[i] is the top eigenvector of ball element source[i]."""
+    ball = word_ball(gens(), 6)
+    limit = sample_limit_set(space, ball, 1.0)
+    assert limit.rows.shape == (len(limit), space.dim)
+    assert np.all(np.diff(limit.source) > 0) and limit.source[0] >= 1
+    for row, i in zip(limit.rows, limit.source):
+        matrix = ball.stack[i]
+        top = ball.moduli[i][0]
+        image = matrix @ row
+        sign = np.sign(image @ row)
+        assert np.linalg.norm(image - sign * top * row) <= 1e-9 * top
+        assert np.linalg.norm(row) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_sample_limit_set_points(schottky_ball):
@@ -182,8 +243,9 @@ def test_sample_limit_set_points(schottky_ball):
 
 def test_sample_limit_set_threshold_validation(schottky_ball):
     space = standard_space(2, 2)
-    with pytest.raises(GeometryError):
-        sample_limit_set(space, schottky_ball, 0.0)
+    for threshold in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(GeometryError):
+            sample_limit_set(space, schottky_ball, threshold)
 
 
 def test_sample_limit_set_form_precheck():

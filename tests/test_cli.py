@@ -317,6 +317,37 @@ def test_invalid_radius_and_rank_are_exit_1(tmp_path):
         assert code == 1
 
 
+def test_non_finite_or_negative_tolerance_is_exit_2(tmp_path, capsys,
+                                                   monkeypatch):
+    """A NaN --tol once read every pairing as zero: non-positive-only."""
+    gens = _write(tmp_path / "gens.json", _schottky_gens())
+    argv = ["anosov-diagnose", "--gens", gens, "--p", "2", "--q", "1",
+            "--L", "3", "--out", str(tmp_path / "run")]
+    for value in ("nan", "inf", "-1e-9"):
+        assert main(argv + ["--tol=" + value]) == 2
+        assert "--tol must be finite and non-negative" in \
+            capsys.readouterr().err
+        monkeypatch.setenv("PQGEO_TOL", value)
+        assert main(argv) == 2
+        assert "PQGEO_TOL must be finite and non-negative" in \
+            capsys.readouterr().err
+        monkeypatch.delenv("PQGEO_TOL")
+    assert main(argv + ["--tol", "0"]) == 0
+    assert "negativity negative" in capsys.readouterr().out
+
+
+def test_non_finite_gap_threshold_is_exit_1(tmp_path, capsys):
+    """--gap-threshold nan or inf once gave 0 limit points and exit 0."""
+    gens = _write(tmp_path / "gens.json", _schottky_gens())
+    for value in ("nan", "inf", "0"):
+        code = main(["anosov-diagnose", "--gens", gens, "--p", "2", "--q",
+                     "1", "--L", "3", "--gap-threshold", value,
+                     "--out", str(tmp_path / "run")])
+        assert code == 1
+        assert capsys.readouterr().err.strip() == \
+            "error: gap threshold must be positive and finite"
+
+
 def test_limit_cone_artifact(tmp_path):
     gens = _write(tmp_path / "gens.json", _schottky_gens())
     out = str(tmp_path / "run")

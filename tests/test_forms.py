@@ -29,6 +29,15 @@ def test_signature_tolerance_is_relative():
         assert space.signature.as_tuple() == (1, 1, 1)
 
 
+def test_tolerance_must_be_finite_and_non_negative():
+    for tol in (float("nan"), float("inf"), -1e-9):
+        with pytest.raises(GeometryError, match="tolerance"):
+            QuadraticSpace(np.eye(2), tol=tol)
+        with pytest.raises(GeometryError, match="tolerance"):
+            standard_space(1, 1, tol=tol)
+    assert QuadraticSpace(np.eye(2), tol=0.0).tol == 0.0
+
+
 def test_signature_object_equality():
     assert Signature(2, 1, 0) == Signature(2, 1)
     assert Signature(2, 1, 0) == (2, 1, 0)

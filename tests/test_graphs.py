@@ -90,7 +90,14 @@ def test_custom_graph_violations_detected():
 
 
 def _arc(u, v):
-    return float(np.arccos(np.clip(float(u @ v), -1.0, 1.0)))
+    """One pair's arc: from the chord where |u.v| > 0.99, else arccos."""
+    dot = float(u @ v)
+    if dot > 0.99:
+        return 2.0 * float(np.arcsin(math.sqrt((u - v) @ (u - v)) / 2.0))
+    if dot < -0.99:
+        return math.pi - 2.0 * float(
+            np.arcsin(math.sqrt((u + v) @ (u + v)) / 2.0))
+    return float(np.arccos(np.clip(dot, -1.0, 1.0)))
 
 
 def _lipschitz_by_loop(graph, pairs, seed):
@@ -202,6 +209,56 @@ def test_split_spacetime_combines_factors():
     assert np.max(np.abs(space.eval(pts) + 1.0)) < 1e-9
     report = lipschitz_check(product, pairs=400, rng=0)
     assert report.violations == 0
+
+
+def _product_of_two_planes(count, seed):
+    """The product that the geometry-kernels benchmark builds per seed."""
+    space = standard_space(2, 2)
+    factors = [
+        (maximal_graph(1, 0),
+         np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]])),
+        (maximal_graph(1, 0),
+         np.array([[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]]))]
+    return space, split_spacetime(space, factors, count=count, rng=seed)
+
+
+def test_split_spacetime_near_the_equator():
+    """Seed 33 draws samples near the equator, where the lift is long.
+
+    The rounding in b(v, v) grows like |v|^2, so an absolute quadric band
+    refused these sums of two unit interior lifts.
+    """
+    space, product = _product_of_two_planes(256, 33)
+    lifts = np.array([p.vec for p in product.points()])
+    assert lifts.shape == (256, 4)
+    big = np.max(np.einsum("ij,ij->i", lifts, lifts))
+    assert np.max(np.abs(space.eval(lifts) + 1.0)) <= 1e-15 * big
+
+
+def test_folded_boundary_seed_98_has_no_violation():
+    """Seed 98: two pairs read violations from arccos noise at a dot ~ 1."""
+    report = lipschitz_check(folded_boundary_graph(2, 2), pairs=2000,
+                             rng=98)
+    assert report.violations == 0
+    assert report.max_ratio <= 1.0 + 1e-12
+
+
+def test_sphere_distance_of_a_row_to_itself_is_zero():
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(2000, 3))
+    X /= np.linalg.norm(X, axis=1, keepdims=True)
+    assert np.all(sphere_distance(X, X) == 0.0)
+    assert np.all(sphere_distance(X, -X) == math.pi)
+    assert all(sphere_distance(x, x) == 0.0 for x in X[:50])
+    # Near the poles the chord route agrees with arccos to its accuracy.
+    Y = X + 1e-3 * rng.normal(size=X.shape)
+    Y /= np.linalg.norm(Y, axis=1, keepdims=True)
+    chord = np.linalg.norm(X - Y, axis=1)
+    assert np.allclose(sphere_distance(X, Y), 2.0 * np.arcsin(chord / 2.0),
+                       rtol=0.0, atol=1e-15)
+    assert np.allclose(sphere_distance(X, Y),
+                       np.arccos(np.einsum("ij,ij->i", X, Y)),
+                       rtol=0.0, atol=1e-11)
 
 
 def test_split_spacetime_rejects_bad_basis():

@@ -374,6 +374,58 @@ def test_word_ball_free_growth():
     assert len(ball.sphere(3)) == 36
 
 
+def _bfs_words(alphabet, inverse_letter, L, d):
+    """Shortest non-backtracking words of a ball, by a scan over all kept."""
+    def normalized(matrix):
+        flat = matrix.ravel()
+        return flat / flat[np.argmax(np.abs(flat))]
+
+    words, kept = [()], [normalized(np.eye(d))]
+    frontier = [((), np.eye(d))]
+    for _ in range(L):
+        grown = []
+        for word, matrix in frontier:
+            for letter in range(len(alphabet)):
+                if word and inverse_letter[word[-1]] == letter:
+                    continue
+                product = matrix @ alphabet[letter]
+                flat = normalized(product)
+                if min(np.linalg.norm(flat - old) for old in kept) < 1e-8:
+                    continue
+                kept.append(flat)
+                words.append(word + (letter,))
+                grown.append((word + (letter,), product))
+        frontier = grown
+    return words
+
+
+@pytest.mark.parametrize("L", [0, 3, 5])
+def test_word_ball_tree_matches_bfs_oracle(L):
+    """Words rebuilt from the parent pointers, and products bit for bit."""
+    g1 = boost(4, 0, 2, 1.5)
+    T = boost(4, 1, 2, 2.5)
+    ball = word_ball([g1, T @ g1 @ np.linalg.inv(T)], L)
+    words = ball.words
+    assert words == _bfs_words(ball.alphabet, ball.inverse_letter, L, 4)
+    assert ball.parent[0] == ball.letter[0] == -1
+    assert len(ball) == len(ball.stack) == len(ball.parent) \
+        == len(ball.letter)
+    for i, word in enumerate(words):
+        product = np.eye(4)
+        for letter in word:
+            product = product @ ball.alphabet[letter]
+        assert np.array_equal(ball.stack[i], product)
+        if i:
+            assert words[ball.parent[i]] + (ball.letter[i],) == word
+    pairs = list(ball)
+    assert [pair.word for pair in pairs] == words
+    assert all(np.array_equal(matrix, ball.stack[i])
+               for i, (_, matrix) in enumerate(pairs))
+    for length in range(L + 1):
+        assert [words[i] for i in ball.sphere(length)] == \
+            [w for w in words if len(w) == length]
+
+
 def test_word_ball_dihedral_closes():
     r1 = np.array([[1.0, 0.0], [0.0, -1.0]])
     phi = math.pi / 3.0
