@@ -32,7 +32,7 @@ def jordan_projection(g, r=None):
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise GeometryError("need a square matrix")
     moduli = np.sort(np.abs(np.linalg.eigvals(g)))[::-1]
-    return _log_moduli(moduli, _rank(len(moduli), r))
+    return _log_table(moduli[None], _rank(len(moduli), r))[0]
 
 
 def _rank(d, r):
@@ -43,15 +43,17 @@ def _rank(d, r):
     return r
 
 
-def _log_moduli(moduli, r):
-    """Logs of the top r of one descending row of eigenvalue moduli.
+def _log_table(moduli, r):
+    """Logs of the top r entries of every row of descending moduli.
 
-    The row is a reversed view, as in a word ball's spectral table: a
-    contiguous row can take a vectorized np.log that rounds differently.
+    math.log on each entry gives the bits of np.log on a row that is a
+    reversed view, as in a word ball's spectral table; np.log over the
+    whole table, or on a contiguous row, rounds some entries differently.
     """
-    if not np.isfinite(moduli).all() or moduli[r - 1] <= 0.0:
+    if not np.isfinite(moduli).all() or not np.all(moduli[:, r - 1] > 0.0):
         raise GeometryError("matrix is singular to working precision")
-    return np.log(moduli[:r])
+    return np.array([[math.log(m) for m in row]
+                     for row in moduli[:, :r].tolist()]).reshape(-1, r)
 
 
 class ProximalityClass:
@@ -139,19 +141,21 @@ def gap_series(ball, r):
     if r < 2:
         raise GeometryError("gap statistics need r >= 2")
     r = _rank(ball.moduli.shape[1], r)
-    per_length = {length: [] for length in range(1, ball.L + 1)}
     seen = set()
-    for word, moduli in zip(ball.words[1:], ball.moduli[1:]):
-        length = len(word)
+    kept = []
+    for i, word in enumerate(ball.words[1:], 1):
         reduced = _cyclic_reduce(word, ball.inverse_letter)
-        if len(reduced) < length:
+        if len(reduced) < len(word):
             continue
         key = _canonical_rotation(reduced)
         if key in seen:
             continue
         seen.add(key)
-        lam = _log_moduli(moduli, r)
-        per_length[length].append(float(lam[0] - lam[1]))
+        kept.append((len(word), i))
+    lam = _log_table(ball.moduli[[i for _, i in kept]], r)
+    per_length = {length: [] for length in range(1, ball.L + 1)}
+    for (length, _), gap in zip(kept, (lam[:, 0] - lam[:, 1]).tolist()):
+        per_length[length].append(gap)
     spheres = list(per_length.values())
     return GapSeries(list(per_length),
                      [min(gaps) if gaps else math.nan for gaps in spheres],
@@ -176,8 +180,8 @@ def sample_limit_set(space, ball, gap_threshold):
 
     The gaps come from the ball's spectral table. One stacked
     ``np.linalg.eig`` serves every emitting element, and the eigenvectors
-    are scaled and checked as one array; only the merge, through a
-    :class:`~pqgeo.forms.NearIndex`, runs point by point.
+    are scaled and checked as one array, and one
+    :meth:`~pqgeo.forms.NearIndex.keep_first` call merges them.
     """
     if not 0.0 < gap_threshold < math.inf:
         raise GeometryError("gap threshold must be positive and finite")
@@ -192,12 +196,8 @@ def sample_limit_set(space, ball, gap_threshold):
         raise GeometryError(
             "ball element %s does not preserve the form (residual %g)"
             % (ball.word_label(ball.words[bad[0]]), residual[bad[0]]))
-    rank = _rank(ball.moduli.shape[1], 2)
-    emitting = []
-    for i in range(1, len(ball)):
-        lam = _log_moduli(ball.moduli[i], rank)
-        if lam[0] - lam[1] >= gap_threshold:
-            emitting.append(i)
+    lam = _log_table(ball.moduli[1:], _rank(ball.moduli.shape[1], 2))
+    emitting = 1 + np.flatnonzero(lam[:, 0] - lam[:, 1] >= gap_threshold)
     values, vectors = np.linalg.eig(stack[emitting])
     top = np.argmax(np.abs(values), axis=1)[:, None, None]
     vecs = np.take_along_axis(vectors, top, axis=2)[:, :, 0]
@@ -219,17 +219,15 @@ def sample_limit_set(space, ball, gap_threshold):
     if bad.size:
         raise GeometryError(
             "limit point fails isotropy: |b| = %g" % isotropy[bad[0]])
-    kept = NearIndex(space.dim, POINT_MERGE_TOL)
-    source = []
-    for i, vec in enumerate(once):
-        if ((kept.distances(vec) <= POINT_MERGE_TOL).any()
-                or (kept.distances(-vec) <= POINT_MERGE_TOL).any()):
-            continue
-        kept.add(vec)
-        source.append(i)
+    keep = NearIndex(space.dim, POINT_MERGE_TOL).keep_first(
+        once, _points_close, mirror=True)
     # The second normalization is the one a BoundaryPoint applies.
-    return LimitSet(space, _unit_rows(once[source]),
-                    np.array(emitting, dtype=int)[source])
+    return LimitSet(space, _unit_rows(once[keep]), emitting[keep])
+
+
+def _points_close(stored, query):
+    """Unit lifts within POINT_MERGE_TOL of each other."""
+    return np.linalg.norm(stored - query, axis=1) <= POINT_MERGE_TOL
 
 
 class NegativityReport:
@@ -282,20 +280,24 @@ def limit_cone_sample(ball, r):
     ray per row. Projections are read from the ball's spectral table,
     and r is checked against the dimension before any entry is read.
 
-    Kept rays sit in a :class:`~pqgeo.forms.NearIndex` of radius 1e-6:
-    two unit rays at angle t are 2 sin(t/2) <= t apart, so every ray the
-    angle test can merge with is among its candidates.
+    Rays are filtered by a :class:`~pqgeo.forms.NearIndex` of radius
+    1e-6: two unit rays at angle t are 2 sin(t/2) <= t apart, so every ray
+    the angle test can merge with is among its candidates.
     """
     r = _rank(ball.moduli.shape[1], r)
-    kept = NearIndex(r, RAY_ANGLE_TOL)
-    for moduli in ball.moduli[1:]:
-        lam = _log_moduli(moduli, r)
-        norm = float(np.linalg.norm(lam))
-        if norm <= 1e-12:
-            continue
-        ray = lam / norm
-        if any(math.acos(min(1.0, max(-1.0, float(np.dot(ray, old)))))
-               <= RAY_ANGLE_TOL for old in kept.candidates(ray)):
-            continue
-        kept.add(ray)
-    return kept.rows[:kept.count].copy()
+    lam = _log_table(ball.moduli[1:], r)
+    norms = np.sqrt(np.vecdot(lam, lam))
+    moving = norms > 1e-12
+    rays = lam[moving] / norms[moving, None]
+    return rays[NearIndex(r, RAY_ANGLE_TOL).keep_first(rays, _rays_close)]
+
+
+def _rays_close(stored, query):
+    """Unit rays within RAY_ANGLE_TOL radians, angles taken per pair.
+
+    math.acos on each clamped dot keeps the bits of a loop over pairs;
+    np.arccos on the array is not known to.
+    """
+    return np.array([math.acos(min(1.0, max(-1.0, dot))) <= RAY_ANGLE_TOL
+                     for dot in np.vecdot(query, stored).tolist()],
+                    dtype=bool)

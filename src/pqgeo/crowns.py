@@ -256,13 +256,17 @@ def maximality_test(point):
 
 
 class QuadrilateralReport:
-    """Vertices and sampled distance floor for the flow quadrilateral."""
+    """Vertices and sampled distance floor for the flow quadrilateral.
 
-    def __init__(self, vertices, min_distance, R, side_samples):
+    ``flows`` holds the flow parameter of every side sample, one per row.
+    """
+
+    def __init__(self, vertices, min_distance, R, side_samples, flows):
         self.vertices = vertices
         self.min_distance = float(min_distance)
         self.R = float(R)
         self.side_samples = int(side_samples)
+        self.flows = flows
 
     def __repr__(self):
         return "QuadrilateralReport(R={}, min_distance={:.6g})".format(
@@ -278,7 +282,9 @@ def quadrilateral_demo(basis, coeffs, R, side_samples=64):
     lies on the flow orbit of the base point, so its distance is the max
     absolute flow coordinate; that formula stays exact where the
     cross-ratio chord computation would drown in the e^(6R) coefficient
-    spread of the far corners.
+    spread of the far corners. At R = 5 the far side points already fail
+    the domain's membership test in floating point, so only small R can
+    be checked against :func:`pqgeo.model.hilbert_distance`.
     """
     j = basis.j
     if j < 2:
@@ -302,15 +308,13 @@ def quadrilateral_demo(basis, coeffs, R, side_samples=64):
         (corners["b"], flow_vec(-1.0, -1.0)),
         (corners["c"], flow_vec(-1.0, 1.0)),
     ]
-    best = np.inf
     ts = np.linspace(0.0, 2.0 * R, side_samples)
-    for start, direction in sides:
-        for t in ts:
-            best = min(best, orbit_hilbert_distance(basis, coeffs,
-                                                    start + t * direction))
+    flows = np.array([start + t * direction for start, direction in sides
+                      for t in ts])
+    best = min(orbit_hilbert_distance(basis, coeffs, a) for a in flows)
     vertices = {key: orbit_point(basis, coeffs, val).vector
                 for key, val in corners.items()}
-    return QuadrilateralReport(vertices, best, R, side_samples)
+    return QuadrilateralReport(vertices, best, R, side_samples, flows)
 
 
 def crown_orbit_graph(tau):

@@ -13,6 +13,7 @@ import numpy as np
 
 DEFAULT_TOLERANCE = 1e-9
 PAIRING_BLOCK = 256
+NEAR_BLOCK = 128
 NEAR_INDEX_SEED = 0
 
 POSITIVE = "positive"
@@ -253,14 +254,16 @@ class QuadraticSpace:
 
 
 class NearIndex:
-    """Rows bucketed by a fixed random unit projection, for radius queries.
+    """Kept rows under a fixed random unit projection, for duplicate filters.
 
-    A lookup returns the rows in the query's bucket and the two beside
-    it, or their distances to the query; the caller applies its own
-    predicate to them. The projection is 1-Lipschitz, so every row within
-    ``radius`` of the query is among them, and the decisions are those of
-    a scan over all rows. Buckets are twice the radius wide so that
-    rounding in the projection cannot push such a row two buckets away.
+    :meth:`keep_first` decides a whole array of rows at once: a row is
+    kept unless the caller's predicate finds it close to a row kept
+    before it, by this index or earlier in the same call. The predicate
+    is tried only on rows whose projections lie within twice the radius
+    of each other. The projection is 1-Lipschitz, so every row within
+    ``radius`` is among them, and the decisions are those of a scan over
+    all kept rows; the wide window leaves room for rounding in the
+    projection.
     """
 
     def __init__(self, dim, radius):
@@ -272,36 +275,98 @@ class NearIndex:
         self.width = 2.0 * radius
         self.rows = np.empty((64, dim))
         self.count = 0
-        self.buckets = {}
+        # Projections of the kept rows, ascending, and the row of each.
+        self.keys = np.empty(0)
+        self.slots = np.empty(0, dtype=np.intp)
 
-    def _bucket(self, vec):
-        projection = float(vec @ self.direction)
-        if not math.isfinite(projection):
+    def keep_first(self, rows, close, mirror=False):
+        """Keep mask of rows, the first of each group of close rows winning.
+
+        ``close(stored, query)`` gets two arrays of paired rows, an
+        earlier row first, and returns a boolean per pair. With
+        ``mirror`` a row is also dropped when an earlier kept row is close
+        to its negation, tried as ``close(stored, -query)``. Kept rows
+        join the index, in order.
+        """
+        rows = np.asarray(rows, dtype=float)
+        keys = rows @ self.direction
+        if not np.isfinite(keys).all():
             raise GeometryError("near-neighbour index needs finite rows")
-        return math.floor(projection / self.width)
+        signs = (1.0, -1.0) if mirror else (1.0,)
+        keep = np.empty(len(rows), dtype=bool)
+        for lo in range(0, len(rows), NEAR_BLOCK):
+            block = rows[lo:lo + NEAR_BLOCK]
+            block_keys = keys[lo:lo + NEAR_BLOCK]
+            kept = self._resolve(block, block_keys, close, signs)
+            self._store(block[kept], block_keys[kept])
+            keep[lo:lo + NEAR_BLOCK] = kept
+        return keep
 
-    def _near(self, vec):
-        b = self._bucket(vec)
-        return [i for key in (b - 1, b, b + 1)
-                for i in self.buckets.get(key, ())]
+    def _resolve(self, block, keys, close, signs):
+        """Keep mask of one block against the kept rows and itself."""
+        n = len(block)
+        dropped = np.zeros(n, dtype=bool)
+        # Each query's window of kept rows, as ranges of the sorted keys.
+        for sign in signs:
+            start = np.searchsorted(self.keys, sign * keys - self.width)
+            stop = np.searchsorted(self.keys, sign * keys + self.width,
+                                   "right")
+            counts = stop - start
+            query = np.repeat(np.arange(n), counts)
+            ends = np.cumsum(counts)
+            spot = np.arange(ends[-1]) + np.repeat(start - ends + counts,
+                                                   counts)
+            if query.size:
+                hit = close(self.rows[self.slots[spot]],
+                            block[query] if sign > 0 else -block[query])
+                dropped[query[hit]] = True
+        # Earlier rows of the block within the window, as (source, target)
+        # edges with the sign the target is tried with.
+        src, dst, neg = [], [], []
+        for sign in signs:
+            near = np.abs(keys[:, None] - sign * keys) <= self.width
+            near &= ~dropped[:, None] & ~dropped
+            e, i = np.nonzero(np.triu(near, 1))
+            src.append(e)
+            dst.append(i)
+            neg.append(np.full(len(e), sign < 0))
+        src, dst, neg = (np.concatenate(a) for a in (src, dst, neg))
+        # First kept wins, in rounds: edges from kept rows to open rows are
+        # tried, and a hit drops its target; then an open row whose earlier
+        # neighbours are all decided is kept. The first open row always
+        # has every earlier neighbour decided, so each round makes progress.
+        kept = np.zeros(n, dtype=bool)
+        open_ = ~dropped
+        tried = np.zeros(len(src), dtype=bool)
+        while open_.any():
+            todo = np.flatnonzero(kept[src] & open_[dst] & ~tried)
+            if todo.size:
+                tried[todo] = True
+                query = block[dst[todo]]
+                query[neg[todo]] *= -1.0
+                hit = close(block[src[todo]], query)
+                open_[dst[todo[hit]]] = False
+            waiting = np.zeros(n, dtype=bool)
+            waiting[dst[open_[src]]] = True
+            ready = open_ & ~waiting
+            kept |= ready
+            open_ &= ~ready
+        return kept
 
-    def candidates(self, vec):
-        """The stored rows that may lie within the radius of vec."""
-        return [self.rows[i] for i in self._near(vec)]
-
-    def distances(self, vec):
-        """Distances from vec to the stored rows that may lie near it."""
-        near = self._near(vec)
-        if not near:
-            return np.empty(0)
-        return np.linalg.norm(self.rows[near] - vec, axis=1)
-
-    def add(self, vec):
-        if self.count == len(self.rows):
-            self.rows = np.concatenate((self.rows, np.empty_like(self.rows)))
-        self.rows[self.count] = vec
-        self.buckets.setdefault(self._bucket(vec), []).append(self.count)
-        self.count += 1
+    def _store(self, rows, keys):
+        """Append kept rows, doubling the capacity when it runs out."""
+        end = self.count + len(rows)
+        if end > len(self.rows):
+            grown = np.empty((max(end, 2 * len(self.rows)),
+                              self.rows.shape[1]))
+            grown[:self.count] = self.rows[:self.count]
+            self.rows = grown
+        self.rows[self.count:end] = rows
+        order = np.argsort(keys, kind="stable")
+        at = np.searchsorted(self.keys, keys[order])
+        self.keys = np.insert(self.keys, at, keys[order])
+        self.slots = np.insert(self.slots, at, self.count + order)
+        self.count = end
 
 
 def standard_space(p, q, tol=None):

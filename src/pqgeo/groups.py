@@ -685,8 +685,9 @@ class WordBall:
         self.stack = stack
         self.parent = parent
         self.letter = letter
-        # Keep the reversed view: np.log on a contiguous row can take a
-        # vector path that rounds differently from jordan_projection.
+        # Keep the reversed view: its rows take np.log's strided loop,
+        # whose bits anosov's math.log table reproduces; a contiguous row
+        # can take a vector path that rounds differently.
         self.moduli = np.sort(np.abs(np.linalg.eigvals(stack)),
                               axis=1)[:, ::-1]
 
@@ -720,11 +721,11 @@ def word_ball(generators, L):
 
     Words avoid immediate backtracking; a product already seen (Frobenius
     distance below 1e-8 after dividing by the largest-magnitude entry) is
-    dropped, so each element keeps its shortest representative. Candidates
-    are compared only with the kept elements of their
-    :class:`~pqgeo.forms.NearIndex` buckets, which gives the decisions of
-    a scan over all kept elements. The returned ball carries its spectral
-    table (see :class:`WordBall`).
+    dropped, so each element keeps its shortest representative. Each
+    sphere's products are formed as one stack and filtered by one
+    :meth:`~pqgeo.forms.NearIndex.keep_first` call, which gives the
+    decisions of a scan over all kept elements. The returned ball carries
+    its spectral table (see :class:`WordBall`).
     """
     if L < 0:
         raise GeometryError("word-ball radius L must be non-negative")
@@ -755,26 +756,33 @@ def word_ball(generators, L):
         inverse_letter[gi] = ii
         inverse_letter[ii] = gi
 
-    stack, parent, letters = [np.eye(d)], [-1], [-1]
+    # follows[last, letter]: the letter may extend a word ending in last;
+    # the last row, read for the identity's letter -1, allows every one.
+    follows = np.ones((len(alphabet) + 1, len(alphabet)), dtype=bool)
+    for last, inverse in enumerate(inverse_letter):
+        follows[last, inverse] = False
+    letter_matrices = np.array(alphabet)
     seen = NearIndex(d * d, DEDUP_FROBENIUS)
-    seen.add(stack[0].ravel())
-    # Each sphere is the run of elements appended while the last was read.
-    frontier = range(1)
+    stack, parent, letter = np.eye(d)[None], np.array([-1]), np.array([-1])
+    seen.keep_first(stack.reshape(1, -1), _frobenius_close)
+    first = 0
     for _ in range(L):
-        for i in frontier:
-            last = letters[i]
-            for letter in range(len(alphabet)):
-                if last >= 0 and inverse_letter[last] == letter:
-                    continue
-                matrix = stack[i] @ alphabet[letter]
-                flat = matrix.ravel()
-                flat = flat / flat[np.argmax(np.abs(flat))]
-                if (seen.distances(flat) < DEDUP_FROBENIUS).any():
-                    continue
-                seen.add(flat)
-                stack.append(matrix)
-                parent.append(i)
-                letters.append(letter)
-        frontier = range(frontier.stop, len(stack))
-    return WordBall(alphabet, labels, inverse_letter, L, np.array(stack),
-                    np.array(parent), np.array(letters))
+        # The last sphere's elements times their letters, in the order of
+        # a loop over elements and then letters.
+        up, step = np.nonzero(follows[letter[first:]])
+        up += first
+        products = stack[up] @ letter_matrices[step]
+        flat = products.reshape(-1, d * d)
+        pivots = flat[np.arange(len(flat)), np.argmax(np.abs(flat), axis=1)]
+        keep = seen.keep_first(flat / pivots[:, None], _frobenius_close)
+        first = len(stack)
+        stack = np.concatenate((stack, products[keep]))
+        parent = np.concatenate((parent, up[keep]))
+        letter = np.concatenate((letter, step[keep]))
+    return WordBall(alphabet, labels, inverse_letter, L, stack, parent,
+                    letter)
+
+
+def _frobenius_close(stored, query):
+    """Projectively normalized products closer than DEDUP_FROBENIUS."""
+    return np.linalg.norm(stored - query, axis=1) < DEDUP_FROBENIUS

@@ -14,6 +14,7 @@ import numpy as np
 from .forms import GeometryError, QuadraticSpace, standard_space
 
 VALIDATION_THRESHOLD = 1e-8
+UNIT_ROUNDOFF = 2.0 ** -53
 BOUNDARY_ATOL = 1e-12
 
 SPACELIKE = "spacelike"
@@ -88,9 +89,12 @@ class HPoint:
                 raise GeometryError("vector is not negative; cannot normalize")
             vec = vec / np.sqrt(-value)
         else:
-            # The rounding in b(v, v) grows like |v|^2.
-            scale = max(space.spectral_radius, 1.0) * max(1.0, vec @ vec)
-            if abs(value + 1.0) > VALIDATION_THRESHOLD * scale:
+            # Rounding puts b(v, v) up to about 2 d u rho |v|^2 off, more
+            # than the absolute band on a long lift.
+            rounding = 2 * len(vec) * UNIT_ROUNDOFF * (vec @ vec)
+            band = max(space.spectral_radius, 1.0) * (VALIDATION_THRESHOLD
+                                                      + rounding)
+            if abs(value + 1.0) > band:
                 raise GeometryError(
                     "lift is not on the b = -1 quadric (b(v,v) = %g)" % value)
         self.space = space
@@ -105,12 +109,12 @@ class BoundaryPoint:
 
     def __init__(self, space, vec, orientation=1):
         vec = np.array(vec, dtype=float)
-        if not np.all(np.isfinite(vec)):
+        if not np.isfinite(vec).all():
             raise GeometryError("lift has non-finite entries")
-        norm = np.linalg.norm(vec)
+        norm = _norm(vec)
         if norm == 0.0:
             raise GeometryError("zero vector is not a boundary point")
-        vec = vec / norm
+        vec /= norm
         value = space.eval(vec)
         if abs(value) > VALIDATION_THRESHOLD * max(space.spectral_radius, 1.0):
             raise GeometryError(

@@ -10,9 +10,11 @@ at seeds 0, 1 and 5, ``anosov-diagnose --L 8`` on the criterion-12
 Schottky pair, the spectral pipeline (word ball, gap series, limit set,
 cone, negativity) of both criterion-12 groups at L = 3, 5, 6 and 7, and
 the Schottky pair in three conjugated bases at L = 3 and 5, with the
-``GeometryError`` message where one is raised. Artifacts are kept as
-sha256 (``manifest.json`` is left out, it holds the wall time), floats
-as ``float.hex``.
+``GeometryError`` message where one is raised, the crown-search cases of
+``perfbench/workloads.py`` at seeds 0, 1 and 5, and ``detect_crowns``
+with j = 2 and 3 on the Schottky limit sets at L = 3 and 4 (44 and 132
+points). Artifacts are kept as sha256 (``manifest.json`` is left out, it
+holds the wall time), floats as ``float.hex``.
 
 Some of these values depend on the BLAS kernel that runs, so the record
 names it; ``--check`` reports a kernel that differs from the recorded
@@ -39,13 +41,15 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 import numpy as np  # noqa: E402
 
-from pqgeo import anosov, cli, forms, groups, model  # noqa: E402
+from pqgeo import anosov, cli, crowns, forms, groups, model  # noqa: E402
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                       "GOLDEN.json")
 CLI_SEEDS = (0, 1, 5)
 SPECTRAL_RADII = (3, 5, 6, 7)
 CONJUGATED_RADII = (3, 5)
+CROWN_SEEDS = (0, 1, 5)
+CROWN_RADII = (3, 4)
 
 
 def schottky_generators():
@@ -133,14 +137,21 @@ def cli_values(argv):
     return out
 
 
-def _cli_batch():
-    """The cli-batch workload definition, loaded from perfbench."""
+def crown_values(space, points, j):
+    """Found index sets and completeness of one crown scan."""
+    scan = crowns.detect_crowns(space, points, j)
+    return {"found": [sorted(int(i) for i in c.indices) for c in scan],
+            "complete": scan.complete}
+
+
+def _workloads():
+    """The benchmark's workload definitions, loaded from perfbench."""
     spec = importlib.util.spec_from_file_location(
         "perfbench_workloads", os.path.join(ROOT, "perfbench",
                                             "workloads.py"))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.CliBatch()
+    return module
 
 
 def _flatten(prefix, values, into):
@@ -151,7 +162,8 @@ def _flatten(prefix, values, into):
 def collect():
     """Every recorded key and its value."""
     values = {}
-    batch = _cli_batch()
+    workloads = _workloads()
+    batch = workloads.CliBatch()
     for seed in CLI_SEEDS:
         inputs = batch.setup(seed)
         try:
@@ -184,6 +196,17 @@ def collect():
         for L in CONJUGATED_RADII:
             _flatten("conjugated/%s/L%d" % (label, L),
                      spectral_values(space, gens, L), values)
+    search = workloads.CrownSearch()
+    for seed in CROWN_SEEDS:
+        for label, case_space, rows, j, _ in search.setup(seed)["cases"]:
+            _flatten("crowns/seed%d/%s" % (seed, label),
+                     crown_values(case_space, rows, j), values)
+    for L in CROWN_RADII:
+        points = anosov.sample_limit_set(
+            space, groups.word_ball(schottky_generators(), L), 1.0)
+        for j in (2, 3):
+            _flatten("crowns/schottky/L%d/j%d" % (L, j),
+                     crown_values(space, points, j), values)
     return values
 
 

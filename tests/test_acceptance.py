@@ -113,11 +113,34 @@ def test_criterion_04_orbit_distance_matches_cross_ratio():
 
 
 def test_criterion_05_quadrilateral_escapes_uniform_neighborhoods():
-    """Far sides of the size-R flow quadrilateral stay R away."""
+    """Far sides of the size-R flow quadrilateral stay R away.
+
+    The demo measures each side sample by the flow formula, max |a_i|.
+    At R = 2 and 3 all 192 side samples are also measured by the
+    cross-ratio, ``model.hilbert_distance``: it must be at least R and
+    agree with the flow formula within 4 u e^(2 d) at flow distance d,
+    the digits the chord loses to the e^d coefficient spread. The worst
+    gaps are 7.7e-12 and 6.5e-10 (up to 1.5e-9 under the Sandybridge
+    OpenBLAS kernel), at most 0.71 u e^(2 d). At R = 5 the side points
+    fail the domain's membership test ("not interior") in floating point,
+    so R = 5 and 10 stay on the flow formula only.
+    """
     basis = AdaptedBasis.standard(2)
-    for R in (2.0, 5.0, 10.0):
-        report = quadrilateral_demo(basis, np.ones(4), R)
+    coeffs = np.ones(4)
+    domain = basis.domain()
+    base = orbit_point(basis, coeffs).vector
+    for R in (2.0, 3.0, 5.0, 10.0):
+        report = quadrilateral_demo(basis, coeffs, R)
         assert report.min_distance >= R - 1e-6
+        if R > 3.0:
+            continue
+        assert report.flows.shape == (192, 2)
+        for a in report.flows:
+            slow = hilbert_distance(domain, base,
+                                    orbit_point(basis, coeffs, a).vector)
+            fast = orbit_hilbert_distance(basis, coeffs, a)
+            assert slow >= R
+            assert abs(slow - fast) <= 4.0 * 2.0 ** -53 * math.exp(2.0 * fast)
 
 
 def test_criterion_06_lie_closure_dimensions():

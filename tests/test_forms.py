@@ -211,45 +211,125 @@ def _shell_rows(rng, centres, radius):
     return centres + factor[:, None] * step
 
 
+def _within(radius, strict):
+    if strict:
+        return lambda stored, query: np.linalg.norm(stored - query,
+                                                    axis=1) < radius
+    return lambda stored, query: np.linalg.norm(stored - query,
+                                                axis=1) <= radius
+
+
+def _first_wins(rows, close, mirror=False):
+    """Keep mask of a loop that scans every kept row, first kept winning."""
+    kept = []
+    keep = []
+    for row in rows:
+        stored = np.array(kept).reshape(-1, len(row))
+        query = np.repeat(row[None], len(stored), axis=0)
+        hit = close(stored, query).any() or (
+            mirror and close(stored, -query).any())
+        keep.append(not hit)
+        if not hit:
+            kept.append(row)
+    return np.array(keep, dtype=bool)
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_near_index_matches_brute_force_scan(monkeypatch, seed):
-    """Same distances under < and <= as a scan, for +v and -v queries."""
+    """Same decisions under < and <= as a scan, for +v and -v queries.
+
+    Grid rows one radius apart along an axis are exactly on the radius,
+    so < and <= decide them differently; two calls check the rows kept by
+    the first against the second.
+    """
     monkeypatch.setattr(forms, "NEAR_INDEX_SEED", seed)
     rng = np.random.default_rng(10 + seed)
-    radius = 0.05
-    base = rng.uniform(-1.0, 1.0, size=(150, 5))
-    rows = np.concatenate((base, base[:20],
-                           _shell_rows(rng, base[:60], radius)))
+    radius = 1.0 / 16.0
+    base = rng.integers(-1024, 1024, size=(150, 5)) / 1024.0
+    axis_steps = np.eye(5)[rng.integers(0, 5, 40)] * rng.choice(
+        [-radius, radius], (40, 1))
+    rows = np.concatenate((base, base[:20], base[:40] + axis_steps,
+                           _shell_rows(rng, base[:60], radius),
+                           -base[60:80]))
     rows = rows[rng.permutation(len(rows))]
-    index = NearIndex(5, radius)
-    scans = []
-
-    def check(query, stored):
-        found = index.distances(query)
-        scan = np.linalg.norm(rows[:stored] - query, axis=1)
-        for within in (lambda d: d < radius, lambda d: d <= radius):
-            assert np.array_equal(np.sort(found[within(found)]),
-                                  np.sort(scan[within(scan)]))
-        scans.append(scan)
-
-    for stored, row in enumerate(rows):
-        check(row, stored)
-        index.add(row)
-    queries = np.concatenate((rows, _shell_rows(rng, rows, radius),
+    queries = np.concatenate((rows[:50], -rows[50:80],
+                              _shell_rows(rng, rows, radius),
                               rng.uniform(-1.0, 1.0, size=(50, 5))))
-    for query in queries:
-        check(query, len(rows))
-        check(-query, len(rows))
-    scans = np.concatenate(scans)
-    assert np.any(scans == 0.0)
-    on_shell = np.abs(scans / radius - 1.0) < 1e-11
-    assert np.any(on_shell & (scans < radius))
-    assert np.any(on_shell & (scans > radius))
+    gaps = np.linalg.norm(rows[:, None] - rows, axis=2)
+    assert np.any(gaps == radius)
+    on_shell = np.abs(gaps / radius - 1.0) < 1e-11
+    assert np.any(on_shell & (gaps < radius))
+    assert np.any(on_shell & (gaps > radius))
+    wants = {(strict, mirror): _first_wins(np.concatenate((rows, queries)),
+                                           _within(radius, strict), mirror)
+             for strict in (True, False) for mirror in (False, True)}
+    # The radius and the sign both decide some rows.
+    assert np.any(wants[True, False] != wants[False, False])
+    assert np.any(wants[True, False] != wants[True, True])
+    for block in (7, 128):
+        monkeypatch.setattr(forms, "NEAR_BLOCK", block)
+        for (strict, mirror), want in wants.items():
+            close = _within(radius, strict)
+            index = NearIndex(5, radius)
+            keep = np.concatenate((index.keep_first(rows, close, mirror),
+                                   index.keep_first(queries, close, mirror)))
+            assert np.array_equal(keep, want)
+            assert index.count == np.count_nonzero(want)
 
 
 def test_near_index_rejects_non_finite_rows():
     index = NearIndex(3, 1e-6)
-    with pytest.raises(GeometryError):
-        index.add(np.array([1.0, np.nan, 0.0]))
-    with pytest.raises(GeometryError):
-        index.distances(np.array([np.inf, 0.0, 0.0]))
+    close = _within(1e-6, False)
+    for bad in ([1.0, np.nan, 0.0], [np.inf, 0.0, 0.0]):
+        with pytest.raises(GeometryError, match="finite rows"):
+            index.keep_first(np.array([[0.0, 0.0, 1.0], bad]), close)
+    assert index.count == 0
+
+
+@pytest.mark.parametrize("first", [-2, -1])
+def test_keep_first_chain_across_block_boundary(first):
+    """a ~ b and b ~ c but not a ~ c: a and c are kept, wherever the block
+    boundary falls between them."""
+    radius = 1e-6
+    rng = np.random.default_rng(3)
+    rows = rng.uniform(-1.0, 1.0, size=(forms.NEAR_BLOCK + 4, 4))
+    at = forms.NEAR_BLOCK + first
+    step = np.array([0.6 * radius, 0.0, 0.0, 0.0])
+    rows[at + 1] = rows[at] + step
+    rows[at + 2] = rows[at] + 2.0 * step
+    close = _within(radius, True)
+    keep = NearIndex(4, radius).keep_first(rows, close)
+    assert keep[at] and not keep[at + 1] and keep[at + 2]
+    assert np.array_equal(keep, _first_wins(rows, close))
+
+
+def test_keep_first_cluster_of_near_identical_rows():
+    """300 rows within rounding of one another keep only the first, and
+    rows near them are decided as by a scan."""
+    radius = 1e-8
+    rng = np.random.default_rng(4)
+    centre = rng.uniform(-1.0, 1.0, size=16)
+    cluster = centre + rng.uniform(-1e-12, 1e-12, size=(300, 16))
+    rows = np.concatenate((cluster, centre + _shell_rows(
+        rng, np.zeros((40, 16)), radius), rng.uniform(-1.0, 1.0, (20, 16))))
+    rows = rows[rng.permutation(len(rows))]
+    close = _within(radius, True)
+    keep = NearIndex(16, radius).keep_first(rows, close)
+    assert np.array_equal(keep, _first_wins(rows, close))
+    assert np.count_nonzero(keep[np.isin(rows[:, 0], cluster[:, 0])]) == 1
+
+
+def test_keep_first_mirror_duplicate():
+    """-v is a duplicate of v only with mirror, in the same call or later."""
+    radius = 1e-6
+    rng = np.random.default_rng(5)
+    rows = rng.normal(size=(10, 4))
+    rows = np.concatenate((rows, -rows[3:4] + 1e-9, rows[7:8]))
+    close = _within(radius, False)
+    plain = NearIndex(4, radius).keep_first(rows, close)
+    assert plain[:11].all() and not plain[11]
+    mirrored = NearIndex(4, radius)
+    keep = mirrored.keep_first(rows, close, mirror=True)
+    assert keep[:10].all() and not keep[10:].any()
+    assert np.array_equal(keep, _first_wins(rows, close, mirror=True))
+    assert not mirrored.keep_first(-rows[:2], close, mirror=True).any()

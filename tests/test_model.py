@@ -30,16 +30,19 @@ def test_hpoint_normalization():
 
 
 def test_hpoint_band_grows_with_the_lift():
-    """The quadric band scales with |v|^2, and still refuses off-quadric lifts."""
+    """The quadric band grows with the rounding of b(v, v), about u |v|^2,
+    and still refuses off-quadric lifts, long ones too."""
     space = standard_space(2, 2)
     a = 1e4
     on = np.array([a, 0.1 * a, math.sqrt(1.01 * a * a + 1.0), 0.0])
     # Rounding alone puts this lift 1.5e-8 off the quadric.
     assert abs(space.eval(on) + 1.0) > 1e-8
     HPoint(space, on)
+    # 2v has b = -4; a band of 1e-8 |v|^2 would take it.
+    long_off = 2.0 * on
     on = on / a * 100.0
     on[2] = math.sqrt(on[0] ** 2 + on[1] ** 2 + 1.0)
-    for off in (np.array([100.0, 0.0, 100.0, 0.0]), 2.0 * on,
+    for off in (np.array([100.0, 0.0, 100.0, 0.0]), 2.0 * on, long_off,
                 np.array([0.0, 0.0, 1.0 + 1e-6, 0.0])):
         with pytest.raises(GeometryError, match="quadric"):
             HPoint(space, off)
