@@ -21,7 +21,6 @@ import sys
 import time
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .forms import GeometryError, QuadraticSpace, standard_space
@@ -30,8 +29,8 @@ from .graphs import constant_graph, equatorial_graph, folded_boundary_graph, \
     isotropic_boundary_graph, lipschitz_check, maximal_graph
 from .crowns import crown_orbit_graph, detect_crowns
 from .groups import BendDatum, CoxeterDiagram, HnnLetter, bend_amalgam, \
-    bend_hnn, canonical_X, det_roots, gt_polygon, signature_scan, \
-    toy_bend_datum, word_ball
+    bend_hnn, bend_residuals, canonical_X, det_roots, gt_polygon, \
+    signature_scan, toy_bend_datum, word_ball
 from .anosov import gap_series, limit_cone_sample, negativity_test, \
     sample_limit_set
 
@@ -64,6 +63,8 @@ def _as_array(data, origin, ndim):
         raise InputError("%s: expected %s" % (origin, numeric))
     if array.ndim != ndim:
         raise InputError("%s: expected %s" % (origin, shape))
+    if not np.isfinite(array).all():
+        raise InputError("%s: entries must be finite" % origin)
     return array
 
 
@@ -77,12 +78,16 @@ def _read_csv_rows(path):
                     continue
                 fields = line.split(",")
                 try:
-                    rows.append([float(f) for f in fields])
+                    row = [float(f) for f in fields]
                 except ValueError:
                     if line_no == 1:
                         continue
                     raise InputError("%s: line %d: non-numeric field"
                                      % (path, line_no))
+                if not all(map(math.isfinite, row)):
+                    raise InputError("%s: line %d: non-finite field"
+                                     % (path, line_no))
+                rows.append(row)
     except OSError as err:
         raise InputError("%s: %s" % (path, err.strerror or err))
     if not rows:
@@ -413,45 +418,18 @@ def _run_bend(args, tol, out):
     bent = bend_amalgam(datum, args.factor, direction, args.s)
     letters = [bend_hnn(datum, i, direction, args.s)
                for i in range(len(datum.stable_letters))]
-    form_residual = 0.0
-    for gens in bent:
-        for g in gens:
-            form_residual = max(form_residual,
-                                datum.space.isometry_residual(g))
-    for g in letters:
-        form_residual = max(form_residual, datum.space.isometry_residual(g))
-    edge_residual = 0.0
-    for positions in datum.edge_positions:
-        mats = [bent[f][pos] for f, pos in positions]
-        for i in range(1, len(mats)):
-            edge_residual = max(edge_residual,
-                                float(np.max(np.abs(mats[i] - mats[0]))))
-    hnn_residual = 0.0
-    for letter, bent_letter in zip(datum.stable_letters, letters):
-        inv = np.linalg.inv(bent_letter)
-        images = datum.edge_groups[letter.edge]
-        if letter.edge < len(datum.edge_positions) and \
-                len(datum.edge_positions[letter.edge]) >= 2:
-            positions = datum.edge_positions[letter.edge]
-            f0, p0 = positions[0]
-            f1, p1 = positions[-1]
-            pairs = [(bent[f0][p0], bent[f1][p1])]
-        else:
-            pairs = [(h, h) for h in images]
-        for source, target in pairs:
-            hnn_residual = max(hnn_residual, float(np.max(np.abs(
-                bent_letter @ source @ inv - target))))
+    residuals = bend_residuals(datum, bent, letters)
     payload = {
         "s": args.s,
         "factor": args.factor,
         "factors": [[g for g in gens] for gens in bent],
         "stable_letters": letters,
-        "residuals": {"form": form_residual, "edge": edge_residual,
-                      "hnn": hnn_residual},
+        "residuals": residuals,
     }
     _write_json(out("bend.json"), payload)
     return "bent factor %d at s=%g; residuals form %.3g, edge %.3g, hnn %.3g" \
-        % (args.factor, args.s, form_residual, edge_residual, hnn_residual)
+        % (args.factor, args.s, residuals["form"], residuals["edge"],
+           residuals["hnn"])
 
 
 def _generators_from_args(args, space):
@@ -468,23 +446,14 @@ def _generators_from_args(args, space):
     return gens
 
 
-def _ball_and_rays(args, tol):
-    """The form, the word ball of radius --L, and its limit-cone rays."""
-    space = _space_from_args(args, tol)
+def _ball_and_rays(args, space):
+    """The word ball of radius --L and its limit-cone rays."""
     ball = word_ball(_generators_from_args(args, space), args.L)
-    return space, ball, limit_cone_sample(ball, args.r)
+    return ball, limit_cone_sample(ball, args.r)
 
 
 def _run_anosov_diagnose(args, tol, out):
-    space, ball, rays = _ball_and_rays(args, tol)
-    series = gap_series(ball, args.r)
-    _write_csv(out("gaps.csv"),
-               ["length", "min", "median", "count"], series.rows())
-    points = sample_limit_set(space, ball, args.gap_threshold)
-    _write_csv(out("limit-set.csv"),
-               ["x%d" % i for i in range(space.dim)], points.rows)
-    _write_csv(out("cone-rays.csv"),
-               ["lambda%d" % (i + 1) for i in range(args.r)], rays)
+    space = _space_from_args(args, tol)
     chart = args.chart.split(",")
     if len(chart) != 2:
         raise InputError("--chart needs two comma-separated indices")
@@ -495,6 +464,15 @@ def _run_anosov_diagnose(args, tol, out):
     if not (0 <= ci < space.dim and 0 <= cj < space.dim):
         raise InputError("--chart indices out of range for dimension %d"
                          % space.dim)
+    ball, rays = _ball_and_rays(args, space)
+    series = gap_series(ball, args.r)
+    _write_csv(out("gaps.csv"),
+               ["length", "min", "median", "count"], series.rows())
+    points = sample_limit_set(space, ball, args.gap_threshold)
+    _write_csv(out("limit-set.csv"),
+               ["x%d" % i for i in range(space.dim)], points.rows)
+    _write_csv(out("cone-rays.csv"),
+               ["lambda%d" % (i + 1) for i in range(args.r)], rays)
     _svg_scatter(out("limit-set.svg"),
                  [(row[ci], row[cj]) for row in points.rows],
                  "x%d" % ci, "x%d" % cj, "sampled limit set")
@@ -515,7 +493,7 @@ def _run_anosov_diagnose(args, tol, out):
 
 
 def _run_limit_cone(args, tol, out):
-    _, ball, rays = _ball_and_rays(args, tol)
+    ball, rays = _ball_and_rays(args, _space_from_args(args, tol))
     _write_csv(out("cone-rays.csv"),
                ["lambda%d" % (i + 1) for i in range(args.r)], rays)
     return "%d cone rays from a ball of %d" % (rays.shape[0], len(ball))
@@ -664,7 +642,6 @@ def _write_manifest(args, written, wall_time):
         "versions": {
             "pqgeo": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "python": sys.version.split()[0],
         },
         "wall_time_seconds": wall_time,

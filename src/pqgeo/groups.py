@@ -180,8 +180,7 @@ class ReflectionRep:
         return self.space.signature
 
     def form_residual(self):
-        A = self.cartan
-        return max(np.linalg.norm(g.T @ A @ g - A) for g in self.generators)
+        return max(self.space.isometry_residual(g) for g in self.generators)
 
     def relation_residual(self):
         stack = np.array(self.generators)[None]
@@ -445,11 +444,56 @@ def _validate_bend_direction(datum, edge, X):
             % res)
 
 
+# Higham's bounds theta_m on the 1-norm under which the [m/m] Pade
+# approximant of exp is accurate to double precision (N. J. Higham, "The
+# scaling and squaring method for the matrix exponential revisited",
+# SIAM J. Matrix Anal. Appl. 26, 2005, Table 2.3), and the approximant's
+# coefficients b_j = (2m-j)! m! / ((2m)! j! (m-j)!).
+_PADE_THETA = ((3, 1.495585217958292e-2), (5, 2.539398330063230e-1),
+              (7, 9.504178996162932e-1), (9, 2.097847961257068e0),
+              (13, 5.371920351148152e0))
+_PADE_COEFFS = {
+    m: [math.factorial(2 * m - j) * math.factorial(m)
+        / (math.factorial(2 * m) * math.factorial(j) * math.factorial(m - j))
+        for j in range(m + 1)]
+    for m, _ in _PADE_THETA}
+
+
 def _expm(M):
-    # scipy.linalg costs most of the package's import time and only
-    # bending needs it, so it is imported on first use.
-    from scipy.linalg import expm
-    return expm(M)
+    """exp(M) by Pade scaling and squaring (Higham 2005).
+
+    The degree m is the least of the theta table whose bound covers
+    |M|_1. Past theta_13, M is halved s times and r_13 squared s times.
+    With V the even and U the odd part of the numerator,
+    r_m = (V - U)^-1 (V + U).
+    """
+    A = np.asarray(M, dtype=float)
+    norm = float(np.linalg.norm(A, 1))
+    if not math.isfinite(norm):
+        raise GeometryError("matrix exponential needs finite entries")
+    squarings = 0
+    for m, theta in _PADE_THETA:
+        if norm <= theta:
+            break
+    else:
+        squarings = math.ceil(math.log2(norm / theta))
+        A = A / 2.0 ** squarings
+    b = _PADE_COEFFS[m]
+    A2 = A @ A
+    power = np.eye(A.shape[0])
+    V, odd = b[0] * power, b[1] * power
+    for k in range(1, m // 2 + 1):
+        power = power @ A2
+        V = V + b[2 * k] * power
+        odd = odd + b[2 * k + 1] * power
+    U = A @ odd
+    out = np.linalg.solve(V - U, V + U)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(squarings):
+            out = out @ out
+    if not np.isfinite(out).all():
+        raise GeometryError("matrix exponential overflows")
+    return out
 
 
 def _chain_tail(datum, chain):
@@ -507,6 +551,44 @@ def bend_hnn(datum, letter_index, X, s):
     if s != 0.0:
         out = out @ _expm(s * X)
     return out
+
+
+def bend_residuals(datum, bent, letters):
+    """Worst residuals of a bend, as a dict with keys form, edge and hnn.
+
+    bent is the factor list of :func:`bend_amalgam`, letters the
+    :func:`bend_hnn` images of the stable letters. form is the largest
+    form residual over both; edge the largest entry by which the copies
+    of an edge generator differ across factors; hnn the largest entry of
+    letter @ source @ letter^-1 - target, with source and target the
+    first and last bent copy of the letter's edge generator, or each
+    unbent edge generator for an edge listed in fewer than two factors.
+    """
+    form = 0.0
+    for gens in bent:
+        for g in gens:
+            form = max(form, datum.space.isometry_residual(g))
+    for g in letters:
+        form = max(form, datum.space.isometry_residual(g))
+    edge = 0.0
+    for positions in datum.edge_positions:
+        mats = [bent[f][pos] for f, pos in positions]
+        for i in range(1, len(mats)):
+            edge = max(edge, float(np.max(np.abs(mats[i] - mats[0]))))
+    hnn = 0.0
+    for letter, bent_letter in zip(datum.stable_letters, letters):
+        inv = np.linalg.inv(bent_letter)
+        if letter.edge < len(datum.edge_positions) and \
+                len(datum.edge_positions[letter.edge]) >= 2:
+            f0, p0 = datum.edge_positions[letter.edge][0]
+            f1, p1 = datum.edge_positions[letter.edge][-1]
+            pairs = [(bent[f0][p0], bent[f1][p1])]
+        else:
+            pairs = [(h, h) for h in datum.edge_groups[letter.edge]]
+        for source, target in pairs:
+            hnn = max(hnn, float(np.max(np.abs(
+                bent_letter @ source @ inv - target))))
+    return {"form": form, "edge": edge, "hnn": hnn}
 
 
 def toy_bend_datum():

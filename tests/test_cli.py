@@ -9,11 +9,14 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import pqgeo
 from pqgeo.cli import main
 from pqgeo.forms import boost
 
@@ -229,6 +232,31 @@ def test_crown_scan_empty_input_is_exit_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_crown_scan_non_finite_row_is_exit_2(tmp_path, capsys, bad):
+    """A NaN or infinite row once gave "found 0 1-crowns" and exit 0."""
+    path = tmp_path / "points.csv"
+    path.write_text("x0,x1,x2,x3\n1,0,1,0\n0,%s,0,1\n" % bad)
+    code = main(["crown-scan", "--input", str(path), "--p", "2", "--q", "1",
+                 "--j", "1", "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == \
+        ["error: %s: line 3: non-finite field" % path]
+
+
+def test_omega_test_non_finite_domain_is_exit_2(tmp_path, capsys):
+    """A NaN in a domain lift once read as "boundary" with exit 0."""
+    gram = _write(tmp_path / "gram.json", np.eye(3).tolist())
+    domain = tmp_path / "domain.json"
+    domain.write_text("[[-1, 1, 0], [-1, NaN, 0], [-1, 0, 1]]")
+    x = _write(tmp_path / "x.json", [1.0, 0.2, -0.3])
+    code = main(["omega-test", "--gram", gram, "--domain", str(domain),
+                 "--x", x, "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == \
+        ["error: %s: entries must be finite" % domain]
+
+
 def test_crown_scan_finds_planted(tmp_path):
     root = 1.0 / math.sqrt(2.0)
     rows = [[root, 0.0, root, 0.0],
@@ -263,6 +291,48 @@ def test_bend_toy_residuals(tmp_path):
     assert residuals["hnn"] < 1e-12
 
 
+def test_bend_non_finite_exponential_is_exit_1(tmp_path, capsys):
+    """--s nan once wrote NaN factors, residuals near 0, and exit 0."""
+    for k, s in enumerate(("nan", "1e300")):
+        code = main(["bend", "--toy", "--s", s,
+                     "--out", str(tmp_path / ("run%d" % k))])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: matrix exponential")
+
+
+# Run pqgeo with every import of scipy refused; argv[1:] goes to cli.main.
+_NO_SCIPY = """
+import sys
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError("scipy is refused: " + name)
+        return None
+
+sys.meta_path.insert(0, RefuseScipy())
+import pqgeo.cli
+code = pqgeo.cli.main(sys.argv[1:])
+assert not [m for m in sys.modules if m.split(".")[0] == "scipy"]
+sys.exit(code)
+"""
+
+
+def test_pqgeo_runs_without_scipy(tmp_path):
+    """numpy is the only dependency: bend runs with scipy unimportable."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pqgeo.__file__)))
+    argv = ["bend", "--toy", "--s", "0.1"]
+    env = dict(os.environ, PYTHONPATH=src)
+    child = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY] + argv +
+        ["--out", str(tmp_path / "child")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    assert main(argv + ["--out", str(tmp_path / "here")]) == 0
+    assert _read_bytes(tmp_path / "child" / "bend.json") == \
+        _read_bytes(tmp_path / "here" / "bend.json")
+
+
 def test_anosov_diagnose_artifacts(tmp_path):
     gens = _write(tmp_path / "gens.json", _schottky_gens())
     out = str(tmp_path / "run")
@@ -287,11 +357,14 @@ def test_anosov_diagnose_dimension_mismatch(tmp_path):
 
 
 def test_anosov_diagnose_chart_validation(tmp_path):
+    """A bad --chart exits 2 before any artifact is written."""
     gens = _write(tmp_path / "gens.json", _schottky_gens())
-    code = main(["anosov-diagnose", "--gens", gens, "--p", "2", "--q", "1",
-                 "--L", "2", "--chart", "0,9",
-                 "--out", str(tmp_path / "run")])
-    assert code == 2
+    for k, chart in enumerate(("0,9", "0", "a,b")):
+        out = tmp_path / ("run%d" % k)
+        code = main(["anosov-diagnose", "--gens", gens, "--p", "2", "--q",
+                     "1", "--L", "2", "--chart", chart, "--out", str(out)])
+        assert code == 2
+        assert os.listdir(out) == []
 
 
 def test_invalid_radius_and_rank_are_exit_1(tmp_path):

@@ -7,7 +7,8 @@ import pytest
 
 from pqgeo.forms import GeometryError, boost, standard_space
 from pqgeo.groups import (INFINITE, BendDatum, CoxeterDiagram, HnnLetter,
-                          ReflectionRep, bend_amalgam, bend_hnn, canonical_X,
+                          ReflectionRep, _expm, bend_amalgam, bend_hnn,
+                          bend_residuals, canonical_X,
                           cartan_matrix, det_roots, gt_polygon,
                           lie_closure_dim, orthogonal_lie_basis,
                           pentagon_with_arms, polygon_deform, signature_scan,
@@ -303,6 +304,65 @@ def test_bend_chain_composition():
     direct = bend_amalgam(datum, 2, X, 0.5)
     for g, ref in zip(bent[2], direct[2]):
         assert np.max(np.abs(g - ref)) < 1e-12
+
+
+@pytest.mark.parametrize("s", [0.0, 0.1, 1.0])
+def test_bend_residuals_toy(s):
+    datum = toy_bend_datum()
+    X = canonical_X(2, 1, 1)
+    bent = bend_amalgam(datum, 1, X, s)
+    letters = [bend_hnn(datum, 0, X, s)]
+    residuals = bend_residuals(datum, bent, letters)
+    assert set(residuals) == {"form", "edge", "hnn"}
+    assert residuals["form"] < 1e-12
+    assert residuals["edge"] < 1e-12
+    assert residuals["hnn"] < 1e-12
+    if s == 0.0:
+        assert residuals["edge"] == 0.0
+
+
+def test_bend_residuals_see_a_perturbed_letter():
+    datum = toy_bend_datum()
+    X = canonical_X(2, 1, 1)
+    bent = bend_amalgam(datum, 1, X, 0.1)
+    letter = bend_hnn(datum, 0, X, 0.1)
+    letter[0, 1] += 1e-3
+    residuals = bend_residuals(datum, bent, [letter])
+    assert residuals["hnn"] > 1e-4
+    assert residuals["edge"] < 1e-12
+
+
+def test_expm_closed_form_on_canonical_X():
+    """X^3 = X, so exp(sX) = I + sinh(s) X + (cosh(s) - 1) X^2."""
+    X = canonical_X(2, 1, 1)
+    assert np.array_equal(X @ X @ X, X)
+    for s in np.linspace(-3.0, 3.0, 601):
+        expect = np.eye(4) + math.sinh(s) * X + (math.cosh(s) - 1.0) * X @ X
+        error = np.max(np.abs(_expm(s * X) - expect))
+        assert error <= 1e-14 * np.max(np.abs(expect))
+
+
+@pytest.mark.parametrize("p,q", [(2, 2), (3, 2)])
+def test_expm_matches_scipy_on_lie_algebra(p, q):
+    linalg = pytest.importorskip("scipy.linalg")
+    space = standard_space(p, q)
+    basis = np.array(orthogonal_lie_basis(p, q))
+    rng = np.random.default_rng(7)
+    for _ in range(100):
+        M = np.tensordot(rng.normal(size=len(basis)), basis, 1)
+        M *= rng.uniform(0.0, 3.0)
+        g, ref = _expm(M), linalg.expm(M)
+        assert np.max(np.abs(g - ref)) <= 1e-11 * np.max(np.abs(ref))
+        assert space.isometry_residual(g) <= \
+            1e-13 * np.linalg.norm(g) ** 2
+
+
+def test_expm_refuses_non_finite():
+    X = canonical_X(2, 1, 1)
+    for M in (np.full((4, 4), np.nan), np.diag([np.inf, 1.0, 1.0, 1.0]),
+              1e300 * X):
+        with pytest.raises(GeometryError):
+            _expm(M)
 
 
 def test_gt_polygon_square_case():
