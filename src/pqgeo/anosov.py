@@ -22,38 +22,29 @@ FORM_PRECHECK = 1e-6
 
 
 def jordan_projection(g, r=None):
-    """Sorted log-moduli of the top r eigenvalues.
+    """Sorted log-moduli of the top r eigenvalues, from eig of g.
 
     Long products of hyperbolic elements legitimately have huge
     modulus spread, so singularity is flagged only when a requested
-    modulus vanishes outright, not on the condition number.
+    modulus vanishes outright, not on the condition number. A word
+    ball's elements read theirs from its class table instead.
     """
     g = np.asarray(g, dtype=float)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise GeometryError("need a square matrix")
-    moduli = np.sort(np.abs(np.linalg.eigvals(g)))[::-1]
-    return _log_table(moduli[None], _rank(len(moduli), r))[0]
+    with np.errstate(divide="ignore"):
+        lam = np.log(np.sort(np.abs(np.linalg.eigvals(g)))[::-1])
+    return _top(lam[None], r)[0]
 
 
-def _rank(d, r):
-    if r is None:
-        return d
-    if not 1 <= r <= d:
+def _top(jordan, r):
+    """The first r columns of a table of log-moduli (all of them for None)."""
+    r = jordan.shape[1] if r is None else r
+    if not 1 <= r <= jordan.shape[1]:
         raise GeometryError("rank r out of range")
-    return r
-
-
-def _log_table(moduli, r):
-    """Logs of the top r entries of every row of descending moduli.
-
-    math.log on each entry gives the bits of np.log on a row that is a
-    reversed view, as in a word ball's spectral table; np.log over the
-    whole table, or on a contiguous row, rounds some entries differently.
-    """
-    if not np.isfinite(moduli).all() or not np.all(moduli[:, r - 1] > 0.0):
+    if not np.isfinite(jordan[:, :r]).all():
         raise GeometryError("matrix is singular to working precision")
-    return np.array([[math.log(m) for m in row]
-                     for row in moduli[:, :r].tolist()]).reshape(-1, r)
+    return jordan[:, :r]
 
 
 class ProximalityClass:
@@ -120,48 +111,29 @@ class GapSeries:
             ["%.3g" % m for m in self.mins])
 
 
-def _cyclic_reduce(word, inverse_letter):
-    while len(word) >= 2 and inverse_letter[word[-1]] == word[0]:
-        word = word[1:-1]
-    return word
-
-
-def _canonical_rotation(word):
-    return min(word[i:] + word[:i] for i in range(len(word)))
-
-
 def gap_series(ball, r):
-    """Gap statistics per sphere, over cyclic-reduction representatives.
+    """Gap statistics per sphere, one entry per class of cyclic words.
 
-    A word whose cyclic reduction is shorter is a conjugate of an element
-    counted on an earlier sphere and is skipped; rotations of the same
-    cyclic word are merged. The identity is excluded. Projections are
-    read from the ball's spectral table.
+    A class is counted on the sphere of its key's length if a cyclically
+    reduced word of the ball meets it; a word whose cyclic reduction is
+    shorter is a conjugate of an element counted on an earlier sphere.
+    Projections are read from the ball's class table.
     """
     if r < 2:
         raise GeometryError("gap statistics need r >= 2")
-    r = _rank(ball.moduli.shape[1], r)
-    seen = set()
-    kept = []
-    for i, word in enumerate(ball.words[1:], 1):
-        reduced = _cyclic_reduce(word, ball.inverse_letter)
-        if len(reduced) < len(word):
-            continue
-        key = _canonical_rotation(reduced)
-        if key in seen:
-            continue
-        seen.add(key)
-        kept.append((len(word), i))
-    lam = _log_table(ball.moduli[[i for _, i in kept]], r)
-    per_length = {length: [] for length in range(1, ball.L + 1)}
-    for (length, _), gap in zip(kept, (lam[:, 0] - lam[:, 1]).tolist()):
-        per_length[length].append(gap)
-    spheres = list(per_length.values())
-    return GapSeries(list(per_length),
-                     [min(gaps) if gaps else math.nan for gaps in spheres],
-                     [float(np.median(gaps)) if gaps else math.nan
-                      for gaps in spheres],
-                     [len(gaps) for gaps in spheres])
+    lam = _top(ball.jordan, r)
+    gaps = lam[:, 0] - lam[:, 1]
+    size = np.array([len(key) for key in ball.keys], dtype=int)
+    depth = np.array([len(word) for word in ball.words[1:]], dtype=int)
+    met = np.zeros(len(size), dtype=bool)
+    met[ball.cls[1:][depth == size[ball.cls[1:]]]] = True
+    spheres = [gaps[met & (size == length)] for length in range(1, ball.L + 1)]
+    return GapSeries(range(1, ball.L + 1),
+                     [float(np.min(g)) if g.size else math.nan
+                      for g in spheres],
+                     [float(np.median(g)) if g.size else math.nan
+                      for g in spheres],
+                     [g.size for g in spheres])
 
 
 def _unit_rows(rows):
@@ -178,10 +150,10 @@ def sample_limit_set(space, ball, gap_threshold):
     preserves the form. Projectively duplicate points are merged, the
     first kept point winning. Returns a :class:`~pqgeo.model.LimitSet`.
 
-    The gaps come from the ball's spectral table. One stacked
-    ``np.linalg.eig`` serves every emitting element, and the eigenvectors
-    are scaled and checked as one array, and one
-    :meth:`~pqgeo.forms.NearIndex.keep_first` call merges them.
+    Gaps and attractors come from the ball's class table: element i
+    emits ``stack[conj[i]] @ attractor[cls[i]]``, its largest entry made
+    positive and its norm 1, and one
+    :meth:`~pqgeo.forms.NearIndex.keep_first` call merges the points.
     """
     if not 0.0 < gap_threshold < math.inf:
         raise GeometryError("gap threshold must be positive and finite")
@@ -196,33 +168,22 @@ def sample_limit_set(space, ball, gap_threshold):
         raise GeometryError(
             "ball element %s does not preserve the form (residual %g)"
             % (ball.word_label(ball.words[bad[0]]), residual[bad[0]]))
-    lam = _log_table(ball.moduli[1:], _rank(ball.moduli.shape[1], 2))
-    emitting = 1 + np.flatnonzero(lam[:, 0] - lam[:, 1] >= gap_threshold)
-    values, vectors = np.linalg.eig(stack[emitting])
-    top = np.argmax(np.abs(values), axis=1)[:, None, None]
-    vecs = np.take_along_axis(vectors, top, axis=2)[:, :, 0]
+    lam = _top(ball.jordan, 2)
+    solid = lam[:, 0] - lam[:, 1] >= gap_threshold
+    emitting = 1 + np.flatnonzero(solid[ball.cls[1:]])
+    rows = (stack[ball.conj[emitting]]
+            @ ball.attractor[ball.cls[emitting], :, None])[..., 0]
     pivots = np.take_along_axis(
-        vecs, np.argmax(np.abs(vecs), axis=1)[:, None], axis=1)
-    rows = vecs / pivots
-    if np.max(np.abs(rows.imag), initial=0.0) > 1e-8:
-        raise GeometryError("top eigenvector is not real")
-    # The stack is complex when any element has a complex spectrum; an
-    # element with a real spectrum divides in real arithmetic, as its own
-    # eig call would. The copy is contiguous: np.vecdot rounds differently
-    # on the strided .real view.
-    rows = rows.real.copy()
-    real = ~np.any(values.imag, axis=1)
-    rows[real] = vecs[real].real / pivots[real].real
-    once = _unit_rows(rows)
-    isotropy = np.abs(space.eval(once))
+        rows, np.argmax(np.abs(rows), axis=1)[:, None], axis=1)
+    rows = _unit_rows(rows * np.sign(pivots))
+    isotropy = np.abs(space.eval(rows))
     bad = np.flatnonzero(isotropy > 1e-8 * max(space.spectral_radius, 1.0))
     if bad.size:
         raise GeometryError(
             "limit point fails isotropy: |b| = %g" % isotropy[bad[0]])
     keep = NearIndex(space.dim, POINT_MERGE_TOL).keep_first(
-        once, _points_close, mirror=True)
-    # The second normalization is the one a BoundaryPoint applies.
-    return LimitSet(space, _unit_rows(once[keep]), emitting[keep])
+        rows, _points_close, mirror=True)
+    return LimitSet(space, rows[keep], emitting[keep])
 
 
 def _points_close(stored, query):
@@ -273,19 +234,14 @@ def negativity_test(space, points):
 
 
 def limit_cone_sample(ball, r):
-    """Normalized Jordan projections of nontrivial ball elements.
+    """Normalized Jordan projections, one per class of the ball.
 
-    Elements whose projection vanishes (elliptics) are skipped; rays
-    closer than 1e-6 radians are merged. Returns an array with one unit
-    ray per row. Projections are read from the ball's spectral table,
-    and r is checked against the dimension before any entry is read.
-
-    Rays are filtered by a :class:`~pqgeo.forms.NearIndex` of radius
-    1e-6: two unit rays at angle t are 2 sin(t/2) <= t apart, so every ray
-    the angle test can merge with is among its candidates.
+    Classes whose projection vanishes (elliptics) are skipped. Rays with
+    a chord of at most 1e-6, hence all rays within 1e-6 radians (2 sin(t/2)
+    <= t), are merged by a :class:`~pqgeo.forms.NearIndex`. Returns one
+    unit ray per row; r is checked before any entry is read.
     """
-    r = _rank(ball.moduli.shape[1], r)
-    lam = _log_table(ball.moduli[1:], r)
+    lam = _top(ball.jordan, r)
     norms = np.sqrt(np.vecdot(lam, lam))
     moving = norms > 1e-12
     rays = lam[moving] / norms[moving, None]
@@ -293,11 +249,5 @@ def limit_cone_sample(ball, r):
 
 
 def _rays_close(stored, query):
-    """Unit rays within RAY_ANGLE_TOL radians, angles taken per pair.
-
-    math.acos on each clamped dot keeps the bits of a loop over pairs;
-    np.arccos on the array is not known to.
-    """
-    return np.array([math.acos(min(1.0, max(-1.0, dot))) <= RAY_ANGLE_TOL
-                     for dot in np.vecdot(query, stored).tolist()],
-                    dtype=bool)
+    """Unit rays whose chord is within RAY_ANGLE_TOL."""
+    return np.linalg.norm(stored - query, axis=1) <= RAY_ANGLE_TOL

@@ -464,11 +464,18 @@ def _run_anosov_diagnose(args, tol, out):
     if not (0 <= ci < space.dim and 0 <= cj < space.dim):
         raise InputError("--chart indices out of range for dimension %d"
                          % space.dim)
+    # Every stage runs before the first artifact is written, so a failure
+    # leaves --out without a partial set of files.
     ball, rays = _ball_and_rays(args, space)
     series = gap_series(ball, args.r)
+    points = sample_limit_set(space, ball, args.gap_threshold)
+    negativity = None
+    if len(points) >= 2:
+        report = negativity_test(space, points)
+        negativity = {"status": report.status, "margin": report.margin,
+                      "witness": report.witness}
     _write_csv(out("gaps.csv"),
                ["length", "min", "median", "count"], series.rows())
-    points = sample_limit_set(space, ball, args.gap_threshold)
     _write_csv(out("limit-set.csv"),
                ["x%d" % i for i in range(space.dim)], points.rows)
     _write_csv(out("cone-rays.csv"),
@@ -476,11 +483,6 @@ def _run_anosov_diagnose(args, tol, out):
     _svg_scatter(out("limit-set.svg"),
                  [(row[ci], row[cj]) for row in points.rows],
                  "x%d" % ci, "x%d" % cj, "sampled limit set")
-    negativity = None
-    if len(points) >= 2:
-        report = negativity_test(space, points)
-        negativity = {"status": report.status, "margin": report.margin,
-                      "witness": report.witness}
     _write_json(out("diagnose.json"),
                 {"ball_size": len(ball), "limit_points": len(points),
                  "cone_rays": int(rays.shape[0]), "negativity": negativity})

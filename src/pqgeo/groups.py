@@ -13,6 +13,8 @@ Four families of machinery live here:
   spectral diagnostics module.
 """
 
+import functools
+import itertools
 import math
 from collections import namedtuple
 
@@ -563,19 +565,16 @@ def bend_residuals(datum, bent, letters):
     letter @ source @ letter^-1 - target, with source and target the
     first and last bent copy of the letter's edge generator, or each
     unbent edge generator for an edge listed in fewer than two factors.
+    A NaN matrix reads NaN.
     """
-    form = 0.0
-    for gens in bent:
-        for g in gens:
-            form = max(form, datum.space.isometry_residual(g))
-    for g in letters:
-        form = max(form, datum.space.isometry_residual(g))
-    edge = 0.0
+    space = datum.space
+    form = [space.isometry_residual(g) for gens in bent for g in gens]
+    form += [space.isometry_residual(g) for g in letters]
+    edge = []
     for positions in datum.edge_positions:
         mats = [bent[f][pos] for f, pos in positions]
-        for i in range(1, len(mats)):
-            edge = max(edge, float(np.max(np.abs(mats[i] - mats[0]))))
-    hnn = 0.0
+        edge += [np.max(np.abs(m - mats[0])) for m in mats[1:]]
+    hnn = []
     for letter, bent_letter in zip(datum.stable_letters, letters):
         inv = np.linalg.inv(bent_letter)
         if letter.edge < len(datum.edge_positions) and \
@@ -585,10 +584,12 @@ def bend_residuals(datum, bent, letters):
             pairs = [(bent[f0][p0], bent[f1][p1])]
         else:
             pairs = [(h, h) for h in datum.edge_groups[letter.edge]]
-        for source, target in pairs:
-            hnn = max(hnn, float(np.max(np.abs(
-                bent_letter @ source @ inv - target))))
-    return {"form": form, "edge": edge, "hnn": hnn}
+        hnn += [np.max(np.abs(bent_letter @ source @ inv - target))
+                for source, target in pairs]
+    # np.max, unlike Python's max, lets a NaN residual through.
+    return {"form": float(np.max(form, initial=0.0)),
+            "edge": float(np.max(edge, initial=0.0)),
+            "hnn": float(np.max(hnn, initial=0.0))}
 
 
 def toy_bend_datum():
@@ -754,8 +755,17 @@ class WordBall:
     index of its inverse (itself for involutions). The ball is a
     breadth-first tree, identity first: element i is ``stack[i]``, the
     product of element ``parent[i]`` with letter ``letter[i]`` (-1 for
-    the identity), and ``moduli[i]`` holds its eigenvalue moduli in
-    descending order. Iteration yields ``(word, matrix)`` pairs.
+    the identity), and ``words[i]`` is its word. Iteration yields
+    ``(word, matrix)`` pairs.
+
+    Spectral data is kept per conjugacy class of cyclic words. Element
+    i > 0 is h k h^-1, where k is the least rotation of the cyclically
+    reduced core of its word and h is a prefix of that word: ``cls[i]``
+    indexes k in ``keys`` (-1 for the identity) and ``conj[i]`` is the
+    element h. ``jordan[c]`` holds the log-moduli of class c in
+    descending order, and ``attractor[c]`` the top eigenvector of its key
+    product, which is meaningful where ``jordan[c, 0] > jordan[c, 1]``;
+    element i then attracts to ``stack[conj[i]] @ attractor[cls[i]]``.
     """
 
     def __init__(self, alphabet, labels, inverse_letter, L, stack, parent,
@@ -767,20 +777,26 @@ class WordBall:
         self.stack = stack
         self.parent = parent
         self.letter = letter
-        # Keep the reversed view: its rows take np.log's strided loop,
-        # whose bits anosov's math.log table reproduces; a contiguous row
-        # can take a vector path that rounds differently.
-        self.moduli = np.sort(np.abs(np.linalg.eigvals(stack)),
-                              axis=1)[:, ::-1]
-
-    @property
-    def words(self):
-        """The word of each element, rebuilt from the parent pointers."""
-        words = [()]
-        for up, letter in zip(self.parent[1:].tolist(),
-                              self.letter[1:].tolist()):
-            words.append(words[up] + (letter,))
-        return words
+        # chains[i]: the elements along the word of i, identity first.
+        self.words, chains, index = [()], [(0,)], {}
+        self.cls = np.full(len(parent), -1)
+        self.conj = np.zeros(len(parent), dtype=int)
+        for i, (up, last) in enumerate(zip(parent[1:].tolist(),
+                                           letter[1:].tolist()), 1):
+            word = self.words[up] + (last,)
+            self.words.append(word)
+            chains.append(chains[up] + (i,))
+            t = 0
+            while len(word) - 2 * t >= 2 and \
+                    inverse_letter[word[-1 - t]] == word[t]:
+                t += 1
+            core = word[t:len(word) - t]
+            s = min(range(len(core)), key=lambda s: core[s:] + core[:s])
+            self.cls[i] = index.setdefault(core[s:] + core[:s], len(index))
+            self.conj[i] = chains[i][t + s]
+        self.keys = list(index)
+        self.jordan, self.attractor = _class_spectra(np.array(alphabet),
+                                                     self.keys)
 
     def __len__(self):
         return len(self.parent)
@@ -798,6 +814,42 @@ class WordBall:
         return ".".join(self.labels[letter] for letter in word) or "1"
 
 
+def _class_spectra(alphabet, keys):
+    """Log-moduli and top eigenvectors of the key products, by key length.
+
+    By Cauchy-Binet the j-th exterior power of a product is the product
+    of the letters' j-th exterior powers (stacked determinants of j x j
+    minors), and the log of its spectral radius is lambda_1 + ... +
+    lambda_j. Each partial sum is thus the top modulus of a product of
+    short factors, read to full relative precision, where eig of the
+    product itself loses the small moduli to the large ones. Rows are
+    made non-increasing, so that tied moduli do not read a negative gap.
+    """
+    d = alphabet.shape[1]
+    powers = []
+    for j in range(1, d + 1):
+        sets = np.array(list(itertools.combinations(range(d), j)))
+        powers.append(np.linalg.det(
+            alphabet[:, sets[:, None, :, None], sets[None, :, None, :]]))
+    lengths = np.array([len(key) for key in keys])
+    jordan = np.empty((len(keys), d))
+    attractor = np.empty((len(keys), d))
+    for m in set(lengths.tolist()):
+        rows = np.flatnonzero(lengths == m)
+        # word[k] is the k-th letter of every key of length m.
+        word = np.array([keys[c] for c in rows]).T
+        sums = np.stack([np.log(np.max(np.abs(np.linalg.eigvals(
+            functools.reduce(np.matmul, power[word]))), axis=1))
+            for power in powers], axis=1)
+        jordan[rows] = np.minimum.accumulate(
+            np.diff(sums, axis=1, prepend=0.0), axis=1)
+        values, vectors = np.linalg.eig(
+            functools.reduce(np.matmul, alphabet[word]))
+        top = np.argmax(np.abs(values), axis=1)[:, None, None]
+        attractor[rows] = np.take_along_axis(vectors, top, axis=2)[..., 0].real
+    return jordan, attractor
+
+
 def word_ball(generators, L):
     """Breadth-first ball of radius L with projective deduplication.
 
@@ -807,7 +859,7 @@ def word_ball(generators, L):
     sphere's products are formed as one stack and filtered by one
     :meth:`~pqgeo.forms.NearIndex.keep_first` call, which gives the
     decisions of a scan over all kept elements. The returned ball carries
-    its spectral table (see :class:`WordBall`).
+    its class table (see :class:`WordBall`).
     """
     if L < 0:
         raise GeometryError("word-ball radius L must be non-negative")

@@ -442,21 +442,16 @@ def hilbert_distance(domain, y, z):
     by = domain.constraints @ gram @ y
     bz = domain.constraints @ gram @ z
     denom = bz - by
-    behind = []
-    ahead = []
-    for i in range(len(by)):
-        if abs(denom[i]) < 1e-300:
-            continue
-        t = -by[i] / denom[i]
-        if t <= 0.0:
-            behind.append(t)
-        elif t >= 1.0:
-            ahead.append(t)
-    if not behind or not ahead:
+    # Chord parameters of the crossings, skipping near-parallel constraints.
+    live = ~(np.abs(denom) < 1e-300)
+    t = -by[live] / denom[live]
+    behind = t[t <= 0.0]
+    ahead = t[t >= 1.0]
+    if not behind.size or not ahead.size:
         raise GeometryError(
             "chord escapes the domain; Hilbert distance is unbounded "
             "in this direction")
-    t_a = max(behind)
-    t_b = min(ahead)
+    t_a = float(np.max(behind))
+    t_b = float(np.min(ahead))
     cross = ((1.0 - t_a) * t_b) / ((-t_a) * (t_b - 1.0))
     return 0.5 * float(np.log(cross))

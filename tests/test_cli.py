@@ -367,6 +367,18 @@ def test_anosov_diagnose_chart_validation(tmp_path):
         assert os.listdir(out) == []
 
 
+def test_anosov_diagnose_failure_writes_no_artifact(tmp_path, capsys):
+    """A generator off the form exits 1 and leaves --out empty."""
+    gens = _write(tmp_path / "gens.json",
+                  [np.diag([2.0, 1.0, 1.0, 1.0]).tolist()])
+    out = tmp_path / "run"
+    code = main(["anosov-diagnose", "--gens", gens, "--p", "2", "--q", "1",
+                 "--L", "3", "--out", str(out)])
+    assert code == 1
+    assert "does not preserve the form" in capsys.readouterr().err
+    assert os.listdir(out) == []
+
+
 def test_invalid_radius_and_rank_are_exit_1(tmp_path):
     gens = _write(tmp_path / "gens.json", _schottky_gens())
     code = main(["anosov-diagnose", "--gens", gens, "--p", "2", "--q", "1",

@@ -332,6 +332,16 @@ def test_bend_residuals_see_a_perturbed_letter():
     assert residuals["edge"] < 1e-12
 
 
+def test_bend_residuals_read_nan():
+    """A NaN bent factor and a NaN letter are not hidden by the maxima."""
+    datum = toy_bend_datum()
+    X = canonical_X(2, 1, 1)
+    bent = bend_amalgam(datum, 1, X, 0.1)
+    bent[1] = [np.full((4, 4), np.nan) for _ in bent[1]]
+    residuals = bend_residuals(datum, bent, [np.full((4, 4), np.nan)])
+    assert all(math.isnan(value) for value in residuals.values())
+
+
 def test_expm_closed_form_on_canonical_X():
     """X^3 = X, so exp(sX) = I + sinh(s) X + (cosh(s) - 1) X^2."""
     X = canonical_X(2, 1, 1)
