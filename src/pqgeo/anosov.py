@@ -216,18 +216,12 @@ def negativity_test(space, points):
     rows = lift_rows(points)
     if len(rows) < 2:
         raise GeometryError("negativity test needs at least two points")
-    lifts = _unit_rows(rows)
+    if not np.all(np.isfinite(rows)) or not np.all(np.any(rows, axis=1)):
+        raise GeometryError("negativity test needs finite nonzero lifts")
     try:
-        _, _, pairing = lift_nonpositive(space, lifts)
+        _, _, (margin, witness) = lift_nonpositive(space, _unit_rows(rows))
     except SignConsistencyError as err:
         return NegativityReport("inconsistent", 0.0, err.witness)
-    # Sign flips are exact, so |pairing| is also that of the signed lifts.
-    np.abs(pairing, out=pairing)
-    n = pairing.shape[0]
-    # Only pairs i < j; argmin keeps the first minimum in row-major order.
-    pairing[np.tri(n, dtype=bool)] = math.inf
-    witness = divmod(int(np.argmin(pairing)), n)
-    margin = float(pairing[witness])
     band = space.tol * max(space.spectral_radius, 1.0)
     status = "negative" if margin > band else "non-positive-only"
     return NegativityReport(status, margin, witness)

@@ -164,8 +164,9 @@ class QuadraticSpace:
     def pairing(self, rows, others=None):
         """Pairing matrix of two row sets and its out-of-band mask.
 
-        Returns ``(pair, nonzero)`` with ``pair = rows @ gram @ others.T``
-        and ``nonzero`` true where ``|pair|`` exceeds the band
+        Returns ``(pair, nonzero)`` with ``pair = rows @ gram @ others.T``,
+        formed in blocks of ``PAIRING_BLOCK`` rows, and ``nonzero`` true
+        where ``|pair|`` exceeds the band
         ``tol * max(spectral_radius, 1) * |row| * |other|``, the one band
         for every sign decision on boundary lifts. Without ``others`` the
         rows pair with themselves; the product is then symmetric only up
@@ -175,17 +176,20 @@ class QuadraticSpace:
         rows = np.asarray(rows, dtype=float)
         same = others is None
         others = rows if same else np.asarray(others, dtype=float)
-        pair = rows @ self.gram @ others.T
+        row_gram = rows @ self.gram
         row_norms = np.linalg.norm(rows, axis=1)
         other_norms = np.linalg.norm(others, axis=1)
         scale = self.tol * max(self.spectral_radius, 1.0)
+        pair = np.empty((len(rows), len(others)))
         nonzero = np.empty(pair.shape, dtype=bool)
-        # Row blocks keep the band small: a full n x n band would double
-        # the peak memory of the limit-set negativity test.
+        # Row blocks keep the band small. BLAS rounds an entry by where it
+        # falls in the product's tiling, so the product is formed in the
+        # same blocks as the signed check of model.lift_nonpositive.
         for lo in range(0, len(pair), PAIRING_BLOCK):
+            block = pair[lo:lo + PAIRING_BLOCK]
+            np.matmul(row_gram[lo:lo + PAIRING_BLOCK], others.T, out=block)
             band = np.outer(row_norms[lo:lo + PAIRING_BLOCK], other_norms)
             band *= scale
-            block = pair[lo:lo + PAIRING_BLOCK]
             nonzero[lo:lo + PAIRING_BLOCK] = (block > band) | (block < -band)
         if same:
             nonzero |= nonzero.T

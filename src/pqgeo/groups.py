@@ -778,9 +778,7 @@ class WordBall:
         self.parent = parent
         self.letter = letter
         # chains[i]: the elements along the word of i, identity first.
-        self.words, chains, index = [()], [(0,)], {}
-        self.cls = np.full(len(parent), -1)
-        self.conj = np.zeros(len(parent), dtype=int)
+        self.words, chains, trims, cores = [()], [(0,)], [], []
         for i, (up, last) in enumerate(zip(parent[1:].tolist(),
                                            letter[1:].tolist()), 1):
             word = self.words[up] + (last,)
@@ -790,8 +788,13 @@ class WordBall:
             while len(word) - 2 * t >= 2 and \
                     inverse_letter[word[-1 - t]] == word[t]:
                 t += 1
-            core = word[t:len(word) - t]
-            s = min(range(len(core)), key=lambda s: core[s:] + core[:s])
+            trims.append(t)
+            cores.append(word[t:len(word) - t])
+        index = {}
+        self.cls = np.full(len(parent), -1)
+        self.conj = np.zeros(len(parent), dtype=int)
+        for i, (t, core, s) in enumerate(
+                zip(trims, cores, _least_rotations(cores).tolist()), 1):
             self.cls[i] = index.setdefault(core[s:] + core[:s], len(index))
             self.conj[i] = chains[i][t + s]
         self.keys = list(index)
@@ -812,6 +815,27 @@ class WordBall:
 
     def word_label(self, word):
         return ".".join(self.labels[letter] for letter in word) or "1"
+
+
+def _least_rotations(cores):
+    """Start of each core's lexicographically least rotation, first on ties.
+
+    Cores of one length are filtered together, one letter position at a
+    time: a rotation survives while its letters so far are the least.
+    """
+    lengths = np.array([len(core) for core in cores], dtype=int)
+    starts = np.zeros(len(cores), dtype=int)
+    for m in set(lengths.tolist()):
+        rows = np.flatnonzero(lengths == m)
+        # rotations[r, s] is core r rotated to start at its letter s.
+        rotations = np.array([cores[r] for r in rows])[
+            :, (np.arange(m)[:, None] + np.arange(m)) % m]
+        alive = np.ones((len(rows), m), dtype=bool)
+        for column in rotations.transpose(2, 0, 1):
+            least = np.where(alive, column, column.max() + 1).min(axis=1)
+            alive &= column == least[:, None]
+        starts[rows] = np.argmax(alive, axis=1)
+    return starts
 
 
 def _class_spectra(alphabet, keys):

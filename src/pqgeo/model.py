@@ -11,7 +11,8 @@ import math
 
 import numpy as np
 
-from .forms import GeometryError, QuadraticSpace, standard_space
+from .forms import (PAIRING_BLOCK, GeometryError, QuadraticSpace,
+                    standard_space)
 
 VALIDATION_THRESHOLD = 1e-8
 UNIT_ROUNDOFF = 2.0 ** -53
@@ -333,6 +334,15 @@ def lift_rows(points):
 def lift_nonpositive(space, points):
     """Choose lift signs making all pairings non-positive.
 
+    Signs spread from a root row, the first unsigned one: a row takes
+    its sign from the out-of-band pairings (the band of
+    :meth:`~pqgeo.forms.QuadraticSpace.pairing`) of the rows signed at
+    the level before. The signed pairings are then checked in blocks of
+    ``PAIRING_BLOCK`` rows, so no n x n array is formed. Only when a
+    pair is out of band in either order and pairs non-negatively in
+    either order does the sign walk over the full pairing run, to find
+    the witness.
+
     Parameters
     ----------
     space : QuadraticSpace
@@ -341,10 +351,10 @@ def lift_nonpositive(space, points):
 
     Returns
     -------
-    (lifts, signs, pair)
-        Signed lift rows, the chosen sign per input row, and the pairing
-        matrix of the unsigned rows; ``|pair|`` is also the magnitude of
-        every pairing of the signed rows.
+    (lifts, signs, (margin, witness))
+        Signed lift rows, the chosen sign per input row, and the smallest
+        pairing magnitude over pairs i < j with the first such pair in
+        row-major order (``(inf, None)`` for a single row).
 
     Raises
     ------
@@ -353,6 +363,97 @@ def lift_nonpositive(space, points):
         of indices whose pairing signs cannot all be made non-positive.
     """
     lifts = lift_rows(points)
+    signs = _spread_signs(space, lifts)
+    found = _signed_margin(space, lifts, signs)
+    if found is None:
+        signs = _sign_walk(space, lifts)
+        found = _signed_margin(space, lifts, signs)
+    return lifts * signs[:, None], signs, found
+
+
+def _spread_signs(space, lifts):
+    """Signs from root rows, level by level over out-of-band pairings."""
+    signs = np.zeros(len(lifts), dtype=int)
+    unsigned = np.arange(len(lifts))
+    while unsigned.size:
+        signs[unsigned[0]] = 1
+        frontier, unsigned = unsigned[:1], unsigned[1:]
+        while frontier.size and unsigned.size:
+            for lo in range(0, frontier.size, PAIRING_BLOCK):
+                rows = frontier[lo:lo + PAIRING_BLOCK]
+                pair, nonzero = space.pairing(lifts[rows], lifts[unsigned])
+                hit = np.flatnonzero(nonzero.any(axis=0)
+                                     & (signs[unsigned] == 0))
+                by = np.argmax(nonzero[:, hit], axis=0)
+                signs[unsigned[hit]] = -signs[rows[by]] * np.sign(
+                    pair[by, hit])
+            fresh = signs[unsigned] != 0
+            frontier, unsigned = unsigned[fresh], unsigned[~fresh]
+    return signs
+
+
+def _signed_margin(space, lifts, signs):
+    """Smallest pairing magnitude over i < j and its pair, or None.
+
+    None means a clash: a pair out of band in either order whose signed
+    pairing is non-negative in either order. A signed pairing below
+    ``cut`` is out of band and negative, so only the few entries above it
+    need their band, and a pair is looked up in the other order among
+    those. Their magnitudes are below those of all other entries, so the
+    margin is the least of them when one lies above the diagonal.
+    """
+    n = len(lifts)
+    signed = lifts * signs[:, None]
+    signed_gram = signed @ space.gram
+    norms = np.linalg.norm(lifts, axis=1)
+    scale = space.tol * max(space.spectral_radius, 1.0)
+    top = norms.max()
+    cut = -(top * top * scale)
+    keys, outs, positive = [], [], []
+    # The least magnitude above cut, and below it, with its pair.
+    near = far = (math.inf, None)
+    for lo in range(0, n, PAIRING_BLOCK):
+        block = signed_gram[lo:lo + PAIRING_BLOCK] @ signed.T
+        flat = block.reshape(-1)
+        flat[lo + np.arange(len(block)) * (n + 1)] = -math.inf
+        at = np.flatnonzero(flat >= cut)
+        value = flat[at]
+        flat[at] = -math.inf
+        i, j = divmod(lo * n + at, n)
+        band = np.multiply(norms[i], norms[j]) * scale
+        out = (value > band) | (value < -band)
+        if np.any(out & (value >= 0)):
+            return None
+        keys.append(i * n + j)
+        outs.append(out)
+        positive.append(value >= 0)
+        above = np.flatnonzero(j > i)
+        if above.size:
+            k = above[np.argmin(np.abs(value[above]))]
+            if abs(value[k]) < near[0]:
+                near = (float(abs(value[k])), (int(i[k]), int(j[k])))
+        elif near[1] is None:
+            # Only negative entries below cut are left above the diagonal.
+            upper = block[:, lo:]
+            upper[:, :len(block)][np.tri(len(block), dtype=bool)] = -math.inf
+            row = int(np.argmax(upper.max(axis=1)))
+            column = int(np.argmax(upper[row]))
+            if -upper[row, column] < far[0]:
+                far = (float(-upper[row, column]), (lo + row, lo + column))
+    keys, outs = np.concatenate(keys), np.concatenate(outs)
+    positive = np.concatenate(positive)
+    if np.any(positive):
+        # The other order of a positive pair: out of band when it is
+        # not among the entries above cut.
+        other = (keys[positive] % n) * n + keys[positive] // n
+        at = np.minimum(np.searchsorted(keys, other), len(keys) - 1)
+        if np.any((keys[at] != other) | outs[at]):
+            return None
+    return near if near[1] is not None else far
+
+
+def _sign_walk(space, lifts):
+    """Signs by a walk over the full pairing; raises on the first clash."""
     pair, nonzero = space.pairing(lifts)
     k = lifts.shape[0]
     signs = np.zeros(k, dtype=int)
@@ -389,7 +490,7 @@ def lift_nonpositive(space, points):
             signs[fresh] = needed[have == 0]
             parent[fresh] = i
             stack.extend(fresh.tolist())
-    return lifts * signs[:, None], signs, pair
+    return signs
 
 
 class HalfspaceDomain:

@@ -1,6 +1,7 @@
 """Tests for Jordan projections, proximality, and limit-set sampling."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ import pytest
 from pqgeo.anosov import (gap_series, jordan_projection, limit_cone_sample,
                           negativity_test, proximality_class,
                           sample_limit_set)
-from pqgeo.forms import GeometryError, boost, rotation, standard_space
+from pqgeo.forms import (PAIRING_BLOCK, GeometryError, boost, rotation,
+                         standard_space)
 from pqgeo.groups import word_ball
 from pqgeo.model import BoundaryPoint
 
@@ -292,6 +294,32 @@ def test_negativity_needs_two_points():
     space = standard_space(2, 1)
     with pytest.raises(GeometryError):
         negativity_test(space, np.array([[1.0, 0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, 0.0])
+def test_negativity_needs_finite_nonzero_lifts(bad):
+    space = standard_space(2, 2)
+    lifts = np.array([[1.0, 0.0, 1.0, 0.0],
+                      [0.0, 1.0, 0.0, 1.0],
+                      [1.0, 0.0, 0.0, 1.0]])
+    lifts[1] = bad
+    with pytest.raises(GeometryError, match="finite nonzero lifts"):
+        negativity_test(space, lifts)
+
+
+def test_negativity_forms_no_n_by_n_array():
+    """Group a at L=7: the peak stays within four row blocks of pairings."""
+    space = standard_space(2, 2)
+    points = sample_limit_set(space, word_ball(_schottky_gens(), 7), 1.0)
+    n = len(points.rows)
+    assert n == 2752
+    tracemalloc.start()
+    try:
+        negativity_test(space, points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * PAIRING_BLOCK * n * 8
 
 
 def test_limit_cone_single_ray(schottky_ball):

@@ -131,8 +131,14 @@ def test_eval_dimension_mismatch():
 
 
 def _band_rule(space, rows, others):
-    """The elementwise sign band that QuadraticSpace.pairing replaced."""
-    pair = rows @ space.gram @ others.T
+    """The elementwise sign band that QuadraticSpace.pairing replaced.
+
+    The product is formed in blocks of PAIRING_BLOCK rows, as the pairing
+    forms it: BLAS rounds an entry by where it falls in the tiling.
+    """
+    row_gram = rows @ space.gram
+    pair = np.vstack([row_gram[lo:lo + forms.PAIRING_BLOCK] @ others.T
+                      for lo in range(0, len(rows), forms.PAIRING_BLOCK)])
     thresh = space.tol * max(space.spectral_radius, 1.0) * np.outer(
         np.linalg.norm(rows, axis=1), np.linalg.norm(others, axis=1))
     return pair, np.abs(pair) > thresh

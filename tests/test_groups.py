@@ -7,7 +7,7 @@ import pytest
 
 from pqgeo.forms import GeometryError, boost, standard_space
 from pqgeo.groups import (INFINITE, BendDatum, CoxeterDiagram, HnnLetter,
-                          ReflectionRep, _expm, bend_amalgam, bend_hnn,
+                          ReflectionRep, _expm, _least_rotations, bend_amalgam, bend_hnn,
                           bend_residuals, canonical_X,
                           cartan_matrix, det_roots, gt_polygon,
                           lie_closure_dim, orthogonal_lie_basis,
@@ -524,3 +524,22 @@ def test_word_ball_rejects_negative_radius():
     assert len(word_ball([boost(2, 0, 1, 1.0)], 0)) == 1
     with pytest.raises(GeometryError):
         word_ball([boost(2, 0, 1, 1.0)], -2)
+
+
+def test_least_rotations_match_min_over_rotations():
+    """The first least rotation wins, as min over the starts picks it.
+
+    Periodic cores tie between starts; long cores over many letters
+    would overflow an integer encoding of the rotations.
+    """
+    rng = np.random.default_rng(0)
+    cores = [tuple(rng.integers(0, letters, size=length).tolist())
+             for letters, length in zip(rng.integers(1, 5, size=300),
+                                        rng.integers(1, 9, size=300))]
+    cores += [(0, 1) * 4, (2, 0, 2, 0), (1, 1, 1), (3,)]
+    cores += [tuple(rng.integers(0, 40, size=70).tolist()) * 2
+              for _ in range(5)]
+    starts = _least_rotations(cores)
+    assert starts.tolist() == [
+        min(range(len(core)), key=lambda s: core[s:] + core[:s])
+        for core in cores]

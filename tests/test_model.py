@@ -5,11 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from pqgeo.forms import GeometryError, QuadraticSpace, standard_space
+from pqgeo.forms import (PAIRING_BLOCK, GeometryError, QuadraticSpace,
+                         standard_space)
 from pqgeo.model import (BoundaryPoint, HPoint, HalfspaceDomain,
-                         SignConsistencyError, TimelikeFrame,
-                         conformal_split, conformal_unsplit, hilbert_distance,
-                         lift_nonpositive, pair_class, pair_class_conformal)
+                         SignConsistencyError, TimelikeFrame, _sign_walk,
+                         _spread_signs, conformal_split, conformal_unsplit,
+                         hilbert_distance, lift_nonpositive, pair_class,
+                         pair_class_conformal)
 
 
 @pytest.fixture
@@ -171,6 +173,111 @@ def test_lift_nonpositive_inconsistent_witness():
         lift_nonpositive(space, np.array(pts))
     assert err.value.witness == [2, 0, 1]
     assert all(type(v) is int for v in err.value.witness)
+
+
+def _walk_reference(space, rows):
+    """Signs by the sign walk, and the margin read off the full pairing."""
+    try:
+        signs = _sign_walk(space, rows)
+    except SignConsistencyError as err:
+        return "clash", err.witness
+    pair, _ = space.pairing(rows)
+    pair = np.abs(pair)
+    pair[np.tri(len(rows), dtype=bool)] = math.inf
+    witness = divmod(int(np.argmin(pair)), len(rows))
+    return signs, (float(pair[witness]), witness)
+
+
+def _blocked(space, rows):
+    try:
+        _, signs, found = lift_nonpositive(space, rows)
+    except SignConsistencyError as err:
+        return "clash", err.witness
+    return signs, found
+
+
+def _random_null_rows(rng, p, q, n):
+    """Null rows of R^{p,q+1}: negative sets share their timelike part.
+
+    A tenth of the rows copy another row to within 1e-9, and every row
+    has a random sign. Otherwise the timelike parts are random, and such
+    sets clash.
+    """
+    negative = p >= 2 and rng.random() < 0.5
+    space_part = rng.normal(size=(n, p))
+    time_part = rng.normal(size=(1 if negative else n, q + 1))
+    rows = np.hstack([
+        space_part / np.linalg.norm(space_part, axis=1)[:, None],
+        np.broadcast_to(time_part / np.linalg.norm(time_part, axis=1)[:, None],
+                        (n, q + 1))])
+    near = np.flatnonzero(rng.random(n) < 0.1)
+    rows[near] = (rows[rng.integers(0, n, near.size)]
+                  + 1e-9 * rng.normal(size=(near.size, p + q + 1)))
+    return rows * rng.choice([-1.0, 1.0], size=n)[:, None]
+
+
+def test_lift_nonpositive_matches_the_sign_walk():
+    """Blocked check and sign walk agree bit for bit on 300 seeded sets."""
+    outcomes = {"consistent": 0, "clash": 0, "multi-block": 0}
+    for seed in range(300):
+        rng = np.random.default_rng(seed)
+        p, q = int(rng.integers(1, 4)), int(rng.integers(1, 3))
+        tol = (None, 0.0, 1e-6)[int(rng.integers(3))]
+        n = int(rng.integers(2, 701))
+        space = standard_space(p, q + 1, tol=tol)
+        rows = _random_null_rows(rng, p, q, n)
+        want, got = _walk_reference(space, rows), _blocked(space, rows)
+        if isinstance(want[0], str):
+            assert got == want, seed
+            outcomes["clash"] += 1
+            continue
+        assert np.array_equal(got[0], want[0]), seed
+        (margin, witness), (want_margin, want_witness) = got[1], want[1]
+        assert witness == want_witness, seed
+        assert margin.hex() == want_margin.hex(), seed
+        outcomes["consistent"] += 1
+        outcomes["multi-block"] += n > PAIRING_BLOCK
+    assert min(outcomes.values()) >= 20, outcomes
+
+
+def test_lift_nonpositive_follows_a_pair_out_of_band_in_one_order():
+    """A pair out of band in one order only still links its rows.
+
+    Under a non-diagonal rounding of b(x, y) against b(y, x), a band
+    between the two magnitudes makes such a pair. Signs spread from the
+    root over the other order can then disagree with the walk, which
+    reads both orders; the check finds it and the walk's signs are kept.
+    """
+    gram = np.diag([3.0, 1.0, -1.0, -3.0])
+    rng = np.random.default_rng(1)
+    for _ in range(2000):
+        u = rng.normal(size=(3, 2))
+        v = rng.normal(size=(3, 2))
+        rows = np.hstack([u / np.linalg.norm(u, axis=1)[:, None],
+                          v / np.linalg.norm(v, axis=1)[:, None]])
+        rows /= np.sqrt([3.0, 1.0, 1.0, 3.0])
+        pair, _ = QuadraticSpace(gram).pairing(rows)
+        low, high = sorted((abs(pair[1, 2]), abs(pair[2, 1])))
+        if low == high or low < 1e-3:
+            continue
+        norms = np.linalg.norm(rows, axis=1)
+        # The band of the pair lies at its smaller magnitude.
+        space = QuadraticSpace(gram, tol=low / (norms[1] * norms[2]) / 3.0)
+        pair, nonzero = space.pairing(rows)
+        band = space.tol * 3.0 * np.outer(norms, norms)
+        one_order = (np.abs(pair) > band) != (np.abs(pair.T) > band)
+        try:
+            signs = _sign_walk(space, rows)
+        except SignConsistencyError:
+            continue
+        if one_order[1, 2] and not np.array_equal(
+                _spread_signs(space, rows), signs):
+            break
+    else:
+        pytest.fail("no pair out of band in one order only was found")
+    want, got = _walk_reference(space, rows), _blocked(space, rows)
+    assert np.array_equal(got[0], want[0])
+    assert got[1] == want[1]
 
 
 def test_halfspace_membership():
